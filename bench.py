@@ -240,7 +240,8 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf-dir", default=os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1"))
     ap.add_argument("--cpus", type=int,
-                    default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+                    default=int(os.environ.get(
+                        "RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))))
     ap.add_argument("--scaling", action="store_true")
     ap.add_argument("--outer-level", type=int, default=3)
     # None = mode default (1 plain, 3 scaling children) so --scaling keeps

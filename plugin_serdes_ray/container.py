@@ -22,9 +22,9 @@ import base64
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
 import pyarrow as pa
 
 from .codecs import EncodeContext, decode_array, encode_array
@@ -200,26 +200,59 @@ def _zone_stats(col: "pa.ChunkedArray | pa.Array"):
 #: get NO bloom (never a saturated, useless one)
 BLOOM_MAX_BITS = 1 << 17          # 16 KiB of bits -> ~22 KB base64
 BLOOM_K = 4
+#: index-family version stored as the Bloom dict's "h" field; a Bloom
+#: without it (or with another) is not read and keeps the partition
+BLOOM_VERSION = 1
 
 
-def _bloom_key(value) -> Optional[bytes]:
-    """Canonical hash input per value; None = type not bloom-eligible."""
+def bloom_indices(h: np.ndarray, bits: int, k: int) -> np.ndarray:
+    """The one Bloom index family: a (k, len(h)) array of bit positions
+    per 64-bit content hash by double hashing, ``idx_i = (h + i*h2) &
+    (bits-1)`` with ``h2`` the hash's high 32 bits forced odd —
+    independent of the low bits the mask keeps, so keys that share low
+    bits do not share positions."""
+    h2 = (h >> np.uint64(32)) | np.uint64(1)
+    with np.errstate(over="ignore"):
+        return (h + np.arange(k, dtype=np.uint64)[:, None] * h2) \
+            & np.uint64(bits - 1)
+
+
+def bloom_set(words: np.ndarray, h: np.ndarray, k: int) -> None:
+    """Set the bits of hashes ``h`` in a little-endian uint64 word array."""
+    idx = bloom_indices(h, len(words) * 64, k).ravel()
+    np.bitwise_or.at(words, idx >> np.uint64(6),
+                     np.uint64(1) << (idx & np.uint64(63)))
+
+
+def bloom_test(words: np.ndarray, h: np.ndarray, k: int) -> np.ndarray:
+    """Bool per hash: True unless some bit of it is clear in ``words``."""
+    idx = bloom_indices(h, len(words) * 64, k)
+    return ((words[idx >> np.uint64(6)] >> (idx & np.uint64(63)))
+            & np.uint64(1)).all(axis=0)
+
+
+def _probe_key(value) -> Optional[bytes]:
+    """The bytes a probe value hashes as — the same bytes
+    ``_content_hash64`` hashes for an equal string, binary or (as decimal
+    text) integer column value; None = type not bloom-eligible, so a float
+    such as 5.0 is never pruned against an int column."""
     if isinstance(value, str):
         return value.encode()
     if isinstance(value, (bytes, bytearray)):
         return bytes(value)
     if isinstance(value, bool) or not isinstance(value, int):
         return None
-    return b"i:%d" % value
+    return str(value).encode()
 
 
-def _bloom_positions(key: bytes, bits: int) -> list:
-    """k bit positions by double hashing two independent CRC32 streams
-    (deterministic, C-speed, no library dependency)."""
-    h1 = zlib.crc32(key)
-    h2 = zlib.crc32(key, 0x9E3779B9) | 1        # odd -> full cycle
-    return [((h1 + i * h2) * 0x9E3779B1 & 0xFFFFFFFF) % bits
-            for i in range(BLOOM_K)]
+def bloom_hashes(values) -> dict:
+    """{probe key: 64-bit hash} for the eligible ``values``, all hashed in
+    one call — a query hashes its probe values once, not once per part."""
+    from .pipelines.dedup import _content_hash64
+
+    keys = list(dict.fromkeys(
+        k for k in map(_probe_key, values) if k is not None))
+    return dict(zip(keys, _content_hash64(pa.array(keys, pa.binary()))))
 
 
 def _bloom_stats(col: "pa.ChunkedArray | pa.Array") -> Optional[dict]:
@@ -228,8 +261,9 @@ def _bloom_stats(col: "pa.ChunkedArray | pa.Array") -> Optional[dict]:
     partitions; a bloom prunes point lookups on interleaved high-
     cardinality keys like urls). Strings/binaries/ints only; sized to the
     distinct count; skipped when the count would saturate the cap."""
-    import numpy as np
     import pyarrow.compute as pc
+
+    from .pipelines.dedup import _content_hash64
 
     typ = col.type
     ok = (pa.types.is_string(typ) or pa.types.is_large_string(typ)
@@ -254,35 +288,31 @@ def _bloom_stats(col: "pa.ChunkedArray | pa.Array") -> Optional[dict]:
     bits = 1 << max(10, (10 * n - 1).bit_length())
     if bits > BLOOM_MAX_BITS:
         return None
-    arr = np.zeros(bits // 8, dtype=np.uint8)
-    for v in distinct.to_pylist():
-        key = _bloom_key(v)
-        if key is None:
-            return None
-        for p in _bloom_positions(key, bits):
-            arr[p >> 3] |= 1 << (p & 7)
-    return {"b": base64.b64encode(arr.tobytes()).decode(),
-            "bits": bits, "k": BLOOM_K}
+    words = np.zeros(bits // 64, dtype="<u8")
+    bloom_set(words, _content_hash64(distinct), BLOOM_K)
+    return {"b": base64.b64encode(words.tobytes()).decode(),
+            "bits": bits, "k": BLOOM_K, "h": BLOOM_VERSION}
 
 
-def bloom_may_contain(bloom: Optional[dict], value) -> bool:
-    """Conservative membership: False ONLY when the filter proves the
-    value absent from the partition. Unknown shapes / ineligible values
-    keep the partition."""
-    if not bloom:
-        return True
-    key = _bloom_key(value)
-    if key is None:
+def bloom_may_contain(bloom: Optional[dict], values: list,
+                      hashed: dict) -> bool:
+    """Conservative membership of ANY of ``values``: False ONLY when the
+    filter proves every one absent from the partition. Unknown or
+    untagged shapes and ineligible values keep the partition. ``hashed``
+    is :func:`bloom_hashes` of (at least) ``values``, computed once per
+    query."""
+    keys = [_probe_key(v) for v in values]
+    if None in keys or not bloom or bloom.get("h") != BLOOM_VERSION:
         return True
     try:
-        arr = base64.b64decode(bloom["b"])
-        bits = int(bloom["bits"])
+        words = np.frombuffer(base64.b64decode(bloom["b"]), dtype="<u8")
+        k = int(bloom["k"])
+        if len(words) * 64 != int(bloom["bits"]):
+            return True
     except (KeyError, TypeError, ValueError):
         return True
-    for p in _bloom_positions(key, bits):
-        if not (arr[p >> 3] >> (p & 7)) & 1:
-            return False
-    return True
+    h = np.array([hashed[key] for key in keys], dtype=np.uint64)
+    return bool(bloom_test(words, h, k).any())
 
 
 def temporal_type_tag(typ: pa.DataType) -> str:
@@ -394,6 +424,21 @@ def read_header(path: str) -> dict:
     return header
 
 
+def header_schema(header: dict) -> pa.Schema:
+    """The stored Arrow schema of a part, from its :func:`read_header`."""
+    return pa.ipc.read_schema(pa.BufferReader(
+        base64.b64decode(header["schema"])))
+
+
+def output_schema(schema: pa.Schema, names: list,
+                  dictionary_columns=()) -> pa.Schema:
+    """Schema :func:`read_partition` gives for ``names`` of a part stored
+    as ``schema``, dictionary-typed where asked."""
+    return pa.schema([
+        pa.field(n, pa.dictionary(pa.int32(), schema.field(n).type))
+        if n in dictionary_columns else schema.field(n) for n in names])
+
+
 def read_partition(path: str, columns: Optional[list[str]] = None,
                    dictionary_columns: Optional[list[str]] = None) -> pa.Table:
     """Decode a container file back to a Table (column-prunable).
@@ -407,8 +452,7 @@ def read_partition(path: str, columns: Optional[list[str]] = None,
     from .codecs import decode_array_dictionary
 
     header = read_header(path)
-    schema = pa.ipc.read_schema(pa.BufferReader(
-        base64.b64decode(header["schema"])))
+    schema = header_schema(header)
     start = header["_data_start"]
     wanted = columns if columns is not None else [c["name"] for c in header["columns"]]
     as_dict = set(dictionary_columns or ())
@@ -435,12 +479,8 @@ def read_partition(path: str, columns: Optional[list[str]] = None,
             else:
                 out_cols[col["name"]] = pa.chunked_array(
                     [pa.array([], type=out_typ)])
-    fields = [schema.field(n) if n not in as_dict
-              else pa.field(n, pa.dictionary(pa.int32(),
-                                             schema.field(n).type))
-              for n in wanted]
     out = pa.table({n: out_cols[n] for n in wanted},
-                   schema=pa.schema(fields))
+                   schema=output_schema(schema, wanted, as_dict))
     if as_dict:
         # per-chunk dictionaries -> one dictionary per column: Arrow's
         # group_by/concat kernels refuse differing chunk dictionaries;

@@ -28,17 +28,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .container import read_partition, write_partition
-from .util import package_runtime_env
+from .util import file_stamp as _fingerprint, package_runtime_env
 from .plan import EncodePlan, build_plan
 from .state import checkpoint
-
-
-def _fingerprint(path: str) -> str:
-    # canonical (name, size, mtime_ns) stamp — see util.file_stamp for why
-    # mtime_ns matters (regenerated same-size fixtures)
-    from .util import file_stamp
-
-    return file_stamp(path)
 
 
 def sample_plan_from_files(files: list[str], sample_rows: int = 50_000,
@@ -146,6 +138,26 @@ def plan_partitions(files: list[str],
     return parts
 
 
+#: per-part result columns of the encode and compaction task stages
+_RESULT_KEYS = ("part_id", "rows", "raw_bytes", "enc_bytes", "secs")
+#: manifest fields copied from a write_partition result
+_METRIC_KEYS = ("rows", "raw_bytes", "enc_bytes", "codecs", "column_bytes",
+                "stats", "blooms")
+
+
+def _results(rows: list) -> dict:
+    """Task-stage output: one array per _RESULT_KEYS column."""
+    cols = list(zip(*rows)) or [()] * len(_RESULT_KEYS)
+    return {k: np.asarray(c) for k, c in zip(_RESULT_KEYS, cols)}
+
+
+def _task_concurrency(n: int) -> int:
+    """One task per cluster CPU, at most ``n``."""
+    import ray
+
+    return max(min(n, int(ray.cluster_resources().get("CPU", 8))), 1)
+
+
 def encode_shard_batch(batch: dict, *, plan: EncodePlan, out_dir: str,
                        columns: Optional[list[str]] = None) -> dict:
     """Task stage: one input partition (file or row-group range) -> one
@@ -156,9 +168,7 @@ def encode_shard_batch(batch: dict, *, plan: EncodePlan, out_dir: str,
     pre-warmed workers instead of paying actor-pool startup; the stateful
     actor-pool pattern is reserved for stages with real online state
     (see EncodeBlock below and pipelines/)."""
-    import numpy as np
-
-    results = {"part_id": [], "rows": [], "raw_bytes": [], "enc_bytes": [], "secs": []}
+    results = []
     for part_id, path, rg_start, rg_end, fingerprint in zip(
             batch["part_id"], batch["path"], batch["rg_start"],
             batch["rg_end"], batch["fingerprint"]):
@@ -198,21 +208,12 @@ def encode_shard_batch(batch: dict, *, plan: EncodePlan, out_dir: str,
             "rg_range": [rg_start, rg_end],
             "input_fingerprint": str(fingerprint),
             "file": out_name,
-            "rows": metrics["rows"],
-            "raw_bytes": metrics["raw_bytes"],
-            "enc_bytes": metrics["enc_bytes"],
-            "codecs": metrics["codecs"],
-            "column_bytes": metrics.get("column_bytes", {}),
-            "stats": metrics.get("stats", {}),
-            "blooms": metrics.get("blooms", {}),
+            **{k: metrics[k] for k in _METRIC_KEYS},
             "secs": secs,
         })
-        results["part_id"].append(part_id)
-        results["rows"].append(metrics["rows"])
-        results["raw_bytes"].append(metrics["raw_bytes"])
-        results["enc_bytes"].append(metrics["enc_bytes"])
-        results["secs"].append(secs)
-    return {k: np.asarray(v) for k, v in results.items()}
+        results.append((part_id, metrics["rows"], metrics["raw_bytes"],
+                        metrics["enc_bytes"], secs))
+    return _results(results)
 
 
 def encode_files(files: list[str], out_dir: str, *,
@@ -257,7 +258,7 @@ def encode_files(files: list[str], out_dir: str, *,
     if todo:
         ds = ray.data.from_items(todo)
         if concurrency is None:
-            concurrency = max(min(len(todo), int(ray.cluster_resources().get("CPU", 8))), 1)
+            concurrency = _task_concurrency(len(todo))
         metrics = ds.map_batches(
             encode_shard_batch,
             fn_kwargs={"plan": plan, "out_dir": out_dir, "columns": columns},
@@ -292,8 +293,6 @@ class EncodeBlock:
         self.actor_id = uuid.uuid4().hex[:12]
 
     def __call__(self, table: pa.Table) -> pa.Table:
-        import numpy as np
-
         name = f"block-{self.actor_id}-{self.counter:05d}.grck"
         self.counter += 1
         t0 = time.perf_counter()
@@ -452,12 +451,9 @@ def compact_bin_batch(batch: dict, *, plan: EncodePlan, src_dir: str,
     (unknown) when the source dir has no manifest entry — summary()
     then reports raw_unknown_parts and computes the ratio over known
     parts only (ADVICE r4: the 0 default understated the ratio)."""
-    import numpy as np
-
     from .container import read_header
 
-    results = {"part_id": [], "rows": [], "raw_bytes": [], "enc_bytes": [],
-               "secs": []}
+    results = []
     for part_id, files_s, fingerprint in zip(
             batch["part_id"], batch["files"], batch["fingerprint"]):
         part_id = int(part_id)
@@ -498,11 +494,8 @@ def compact_bin_batch(batch: dict, *, plan: EncodePlan, src_dir: str,
                 "copied": True,
                 "secs": secs,
             })
-            results["part_id"].append(part_id)
-            results["rows"].append(header["rows"])
-            results["raw_bytes"].append(raw if raw is not None else 0)
-            results["enc_bytes"].append(enc)
-            results["secs"].append(secs)
+            results.append((part_id, header["rows"],
+                            raw if raw is not None else 0, enc, secs))
             continue
         tables = [read_partition(os.path.join(src_dir, n)) for n in names]
         for i, t in enumerate(tables[1:], 1):
@@ -527,21 +520,12 @@ def compact_bin_batch(batch: dict, *, plan: EncodePlan, src_dir: str,
             "inputs": names,
             "input_fingerprint": str(fingerprint),
             "file": out_name,
-            "rows": metrics["rows"],
-            "raw_bytes": metrics["raw_bytes"],
-            "enc_bytes": metrics["enc_bytes"],
-            "codecs": metrics["codecs"],
-            "column_bytes": metrics.get("column_bytes", {}),
-            "stats": metrics.get("stats", {}),
-            "blooms": metrics.get("blooms", {}),
+            **{k: metrics[k] for k in _METRIC_KEYS},
             "secs": secs,
         })
-        results["part_id"].append(part_id)
-        results["rows"].append(metrics["rows"])
-        results["raw_bytes"].append(metrics["raw_bytes"])
-        results["enc_bytes"].append(metrics["enc_bytes"])
-        results["secs"].append(secs)
-    return {k: np.asarray(v) for k, v in results.items()}
+        results.append((part_id, metrics["rows"], metrics["raw_bytes"],
+                        metrics["enc_bytes"], secs))
+    return _results(results)
 
 
 def compact_parts(src_dir: str, dst_dir: str, *,
@@ -591,8 +575,7 @@ def compact_parts(src_dir: str, dst_dir: str, *,
     todo = [b for b in bins if b["part_id"] not in done]
     if todo:
         if concurrency is None:
-            concurrency = max(min(len(todo), int(
-                ray.cluster_resources().get("CPU", 8))), 1)
+            concurrency = _task_concurrency(len(todo))
         # raw_bytes for byte-copied singleton bins comes from the SOURCE
         # manifest (the copy never decodes, so it can't measure it)
         src_raw = {e["file"]: e.get("raw_bytes")
@@ -622,11 +605,10 @@ def scrub_part_batch(batch: pa.Table, *, deep: bool = False) -> pa.Table:
     sequential I/O, no decode cost. Deep mode also decodes every chunk and
     checks the decoded row count against the header (catches a corrupt
     symbol table / dictionary whose payload still CRCs clean)."""
-    import base64
     import zlib
 
     from .codecs import decode_array
-    from .container import _outer_decompress, read_header
+    from .container import _outer_decompress, header_schema, read_header
 
     out = {"file": [], "ok": [], "rows": [], "chunks": [], "error": []}
     for path in batch["path"].to_pylist():
@@ -636,8 +618,7 @@ def scrub_part_batch(batch: pa.Table, *, deep: bool = False) -> pa.Table:
         err = None
         try:
             header = read_header(path)
-            schema = pa.ipc.read_schema(pa.BufferReader(
-                base64.b64decode(header["schema"])))
+            schema = header_schema(header)
             start = header["_data_start"]
             with open(path, "rb") as f:
                 for col in header["columns"]:
@@ -697,8 +678,7 @@ def verify_container(out_dir: str, *, deep: bool = False,
     if not files:
         raise ValueError(f"verify_container: no .grck parts in {out_dir}")
     if concurrency is None:
-        concurrency = max(min(len(files), int(
-            ray.cluster_resources().get("CPU", 8))), 1)
+        concurrency = _task_concurrency(len(files))
     report_rows = ray.data.from_items(
         [{"path": f} for f in files]).map_batches(
         scrub_part_batch,
@@ -838,7 +818,7 @@ def decode_part_batch(batch: pa.Table, *, columns: Optional[list[str]] = None,
                       ) -> Iterable[pa.Table]:
     import pyarrow.compute as pc
 
-    from .container import read_header
+    from .container import header_schema, output_schema, read_header
 
     dnf = _normalize_predicates(predicate)
     pred_cols = _dnf_columns(dnf)
@@ -891,8 +871,9 @@ def decode_part_batch(batch: pa.Table, *, columns: Optional[list[str]] = None,
                     live.append(kept)
                 if whole_part:
                     part_dnf = []
-                elif not live:
-                    continue                         # no disjunct can hold
+                elif not live:                       # no disjunct can hold
+                    yield target_schema.empty_table()
+                    continue
                 else:
                     part_dnf = live
                 part_pred_cols = _dnf_columns(part_dnf)
@@ -961,11 +942,17 @@ def decode_part_batch(batch: pa.Table, *, columns: Optional[list[str]] = None,
                 m = conjunct_mask(col, op, value)
                 dm = m if dm is None else pc.and_(dm, m)
             mask = dm if mask is None else pc.or_(mask, dm)
-        if not pc.sum(mask).as_py():
-            continue
         wanted = cols_here if cols_here is not None else \
             [c["name"] for c in read_header(path)["columns"]]
         out_names = [c for c in wanted if c not in drop_cols]
+        if not pc.sum(mask).as_py():
+            # no row matches: a zero-row block that still carries the
+            # part's output schema, payload columns never decoded
+            yield (target_schema.empty_table() if target_schema is not None
+                   else output_schema(header_schema(read_header(path)),
+                                      out_names, dictionary_columns or ())
+                   .empty_table())
+            continue
         rest = [c for c in out_names if c not in part_pred_cols]
         rt = read_partition(path, rest,
                             dictionary_columns=dictionary_columns) \
@@ -982,46 +969,77 @@ def decode_part_batch(batch: pa.Table, *, columns: Optional[list[str]] = None,
         yield t
 
 
-def _pruned_files(out_dir, dnf: list) -> list[str]:
-    """Part files of one dir or a LIST of dirs, manifest-pruned per dir:
-    a partition is dropped when EVERY disjunct has some conjunct whose
-    zone maps (min/max) or distinct-value Bloom filters provably exclude
-    it — before any file opens. Multi-dir inputs make an accumulated
-    corpus (several encode epochs, possibly with different schemas)
-    readable as ONE dataset; pair with ``target_schema=`` to project the
-    union onto a common schema."""
-    from .container import bloom_may_contain
-
+def _manifest_parts(out_dir):
+    """``(part path, manifest entry or None)`` for every part file of one
+    dir or a LIST of dirs — multi-dir inputs make an accumulated corpus
+    (several encode epochs, possibly with different schemas) readable as
+    ONE dataset; pair with ``target_schema=`` to project the union onto a
+    common schema."""
     dirs = [out_dir] if isinstance(out_dir, (str, os.PathLike)) else \
         list(out_dir)
-    out: list[str] = []
     for d in dirs:
-        files = _part_files(str(d))
-        if dnf:
-            entries = checkpoint.read_manifest_entries(str(d))
-            by_file = {e["file"]: e for e in entries.values()}
+        entries = checkpoint.read_manifest_entries(str(d))
+        by_file = {e["file"]: e for e in entries.values()}
+        for f in _part_files(str(d)):
+            yield f, by_file.get(os.path.basename(f))
 
-            def may_match(e: Optional[dict], col, op, value) -> bool:
-                stats = (e or {}).get("stats", {}).get(col)
-                bloom = (e or {}).get("blooms", {}).get(col)
-                if op in ("!=", "is_null", "not_null"):
-                    return True   # min/max and Blooms cannot exclude these
-                if op == "in":
-                    return any(_zone_may_match(stats, "==", v)
-                               and bloom_may_contain(bloom, v)
-                               for v in value)
-                if not _zone_may_match(stats, op, value):
-                    return False
-                return op != "==" or bloom_may_contain(bloom, value)
 
-            def part_may_match(e: Optional[dict]) -> bool:
-                return any(all(may_match(e, *p) for p in disj)
-                           for disj in dnf)
+def _ruled_out(entry: Optional[dict], col, op, value,
+               hashed: dict) -> Optional[str]:
+    """How the part's zone map (min/max) or distinct-value Bloom proves
+    the conjunct false on every row, or None when it cannot."""
+    from .container import bloom_may_contain
 
-            files = [f for f in files
-                     if part_may_match(by_file.get(os.path.basename(f)))]
-        out.extend(files)
-    return out
+    if op in ("!=", "is_null", "not_null"):
+        return None   # min/max and Blooms cannot exclude these
+    stats = (entry or {}).get("stats", {}).get(col)
+    bloom = (entry or {}).get("blooms", {}).get(col)
+    if op == "in":
+        live = [v for v in value if _zone_may_match(stats, "==", v)]
+        if live and bloom_may_contain(bloom, live, hashed):
+            return None
+        return f"{col} in … (zone+bloom)"
+    if not _zone_may_match(stats, op, value):
+        return f"{col} {op} {value!r} (zone)"
+    if op == "==" and not bloom_may_contain(bloom, [value], hashed):
+        return f"{col} == {value!r} (bloom)"
+    return None
+
+
+def _part_verdict(entry: Optional[dict], dnf: list,
+                  hashed: dict) -> tuple:
+    """The one pruning evaluator: ``(kept, reason)`` for a part from its
+    manifest entry. A part is dropped when EVERY disjunct has a conjunct
+    its metadata rules out; the reason names, per disjunct, the first
+    such conjunct and the mechanism (``zone`` vs ``bloom``)."""
+    if not dnf:
+        return True, "no predicate"
+    reasons = []
+    for di, disj in enumerate(dnf):
+        why = next(filter(None, (_ruled_out(entry, *p, hashed)
+                                 for p in disj)), None)
+        if why is None:
+            return True, f"d{di} may match"
+        reasons.append(f"d{di}: {why}")
+    return False, "; ".join(reasons)
+
+
+def _verdicts(out_dir, dnf: list):
+    """``(path, kept, reason)`` per part; every ``==``/``in`` probe value
+    of the query is hashed once, in one call, before the walk."""
+    from .container import bloom_hashes
+
+    hashed = bloom_hashes(v for d in dnf for _, op, val in d
+                          for v in (val if op == "in" else
+                                    [val] if op == "==" else []))
+    for f, e in _manifest_parts(out_dir):
+        yield (f, *_part_verdict(e, dnf, hashed))
+
+
+def _pruned_files(out_dir, dnf: list) -> list[str]:
+    """Part files whose manifest zone maps and Blooms cannot rule the
+    predicate out — pruned before any file opens."""
+    return [f for f, kept, _ in _verdicts(out_dir, dnf) if kept]
 
 
 def explain_pruning(out_dir, predicate=None) -> pa.Table:
@@ -1031,52 +1049,8 @@ def explain_pruning(out_dir, predicate=None) -> pa.Table:
     The 100 TB observability question — why does this query open N
     parts — answered without opening any; pair with
     ``extras.point_query_secs`` when tuning predicates."""
-    from .container import bloom_may_contain
-
-    dnf = _normalize_predicates(predicate)
-    dirs = [out_dir] if isinstance(out_dir, (str, os.PathLike)) else \
-        list(out_dir)
-    files_c, kept_c, reason_c = [], [], []
-    for d in dirs:
-        entries = checkpoint.read_manifest_entries(str(d))
-        by_file = {e["file"]: e for e in entries.values()}
-        for f in _part_files(str(d)):
-            e = by_file.get(os.path.basename(f))
-            if not dnf:
-                files_c.append(f)
-                kept_c.append(True)
-                reason_c.append("no predicate")
-                continue
-            reasons = []
-            kept = False
-            for di, disj in enumerate(dnf):
-                excluded = None
-                for col, op, value in disj:
-                    stats = (e or {}).get("stats", {}).get(col)
-                    bloom = (e or {}).get("blooms", {}).get(col)
-                    if op in ("!=", "is_null", "not_null"):
-                        continue
-                    if op == "in":
-                        if not any(_zone_may_match(stats, "==", v)
-                                   and bloom_may_contain(bloom, v)
-                                   for v in value):
-                            excluded = f"d{di}: {col} in … (zone+bloom)"
-                            break
-                        continue
-                    if not _zone_may_match(stats, op, value):
-                        excluded = f"d{di}: {col} {op} {value!r} (zone)"
-                        break
-                    if op == "==" and not bloom_may_contain(bloom, value):
-                        excluded = f"d{di}: {col} == {value!r} (bloom)"
-                        break
-                if excluded is None:
-                    kept = True
-                    reasons = [f"d{di} may match"]
-                    break
-                reasons.append(excluded)
-            files_c.append(f)
-            kept_c.append(kept)
-            reason_c.append("; ".join(reasons))
+    rows = list(_verdicts(out_dir, _normalize_predicates(predicate)))
+    files_c, kept_c, reason_c = zip(*rows) if rows else ((), (), ())
     return pa.table({"file": pa.array(files_c, type=pa.string()),
                      "kept": pa.array(kept_c, type=pa.bool_()),
                      "reason": pa.array(reason_c, type=pa.string())})
@@ -1092,21 +1066,12 @@ def count_rows(out_dir, predicate=None) -> int:
     parts, the survivors decode ONLY the predicate columns and count the
     mask — never the payload columns. The 100 TB 'how many rows match'
     question costs metadata + the predicate column bytes."""
+    from .container import read_header
+
     preds = _normalize_predicates(predicate)
     if not preds:
-        from .container import read_header
-
-        total = 0
-        dirs = [out_dir] if isinstance(out_dir, (str, os.PathLike)) else \
-            list(out_dir)
-        for d in dirs:
-            entries = checkpoint.read_manifest_entries(str(d))
-            by_file = {e["file"]: e for e in entries.values()}
-            for f in _part_files(str(d)):
-                e = by_file.get(os.path.basename(f))
-                total += e["rows"] if e is not None else \
-                    read_header(f)["rows"]
-        return total
+        return sum(e["rows"] if e is not None else read_header(f)["rows"]
+                   for f, e in _manifest_parts(out_dir))
     ds = decode_dataset(out_dir, columns=_dnf_columns(preds),
                         predicate=predicate)
     return ds.count()
@@ -1152,8 +1117,6 @@ def decode_dataset(out_dir, columns: Optional[list[str]] = None,
     columnar-engine read path: prune at the read, filter the rest.
     """
     import ray.data
-
-    from .container import bloom_may_contain
 
     if target_schema is not None and columns is not None:
         # fail at the call site, not inside a worker traceback

@@ -377,8 +377,11 @@ def _parse_datetime_utc_ns(dt_s: pa.Array, fmt: Optional[str],
     off_ns = pc.if_else(neg, pc.negate_checked(off_ns), off_ns)
     has_off = pc.fill_null(pc.not_equal(off, ""), False)
     from_off = pc.subtract(wall_ns, off_ns)
+    # only zoneless rows localize: an offset-bearing wall time may fall in
+    # the fallback zone's DST gap, where assume_timezone raises
+    zoneless = pc.if_else(has_off, pa.scalar(None, pa.int64()), wall_ns)
     assumed = pc.assume_timezone(
-        wall_ns.cast(pa.timestamp("ns")), fallback_tz).cast(pa.int64())
+        zoneless.cast(pa.timestamp("ns")), fallback_tz).cast(pa.int64())
     return pc.if_else(has_off, from_off, assumed)
 
 

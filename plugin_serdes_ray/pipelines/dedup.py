@@ -195,13 +195,12 @@ def _exact_dedup_distributed(hashed, dups, column: str, id_column: str, env,
     words_ref = build_key_bloom(dups, ["__h"], out_keys=["__h"],
                                 out_types={"__h": pa.int64()},
                                 bits=bloom_bits, num_hashes=4)
-    mask = bloom_bits - 1
     l_schema = hashed.schema()
     l_names = list(l_schema.names)
     l_types = {nm: t for nm, t in zip(l_schema.names, l_schema.types)}
 
     def probe(batch: pa.Table, want_hits: bool) -> pa.Table:
-        hits = bloom_probe_hits(batch, ["__h"], ray.get(words_ref), 4, mask)
+        hits = bloom_probe_hits(batch, ["__h"], ray.get(words_ref), 4)
         return batch.filter(pa.array(hits if want_hits else ~hits))
 
     def pass_miss(batch: pa.Table) -> pa.Table:
@@ -1262,6 +1261,14 @@ def remove_duplicate_spans(ds, column: str = "text",
     env = package_runtime_env()
     if materialize:
         ds = ds.materialize()
+    schema = ds.schema()
+    id_type = (dict(zip(schema.names, schema.types)).get(id_column)
+               if schema is not None else None)
+    if id_type is None or not pa.types.is_integer(id_type):
+        # ids travel as int64 through every shuffle and join below
+        raise ValueError(
+            f"remove_duplicate_spans: id_column {id_column!r} must be an "
+            f"integer column, got {id_type}")
 
     def occ_rows(batch: pa.Table) -> pa.Table:
         texts = batch.column(column).to_pylist()
@@ -1382,11 +1389,9 @@ def remove_duplicate_spans(ds, column: str = "text",
                                 out_keys=[id_column],
                                 out_types={id_column: pa.int64()},
                                 bits=bloom_bits, num_hashes=4)
-    mask = bloom_bits - 1
 
     def probe(batch: pa.Table, want_hits: bool) -> pa.Table:
-        hits = bloom_probe_hits(batch, [id_column], ray.get(words_ref),
-                                4, mask)
+        hits = bloom_probe_hits(batch, [id_column], ray.get(words_ref), 4)
         return batch.filter(pa.array(hits if want_hits else ~hits))
 
     def passthrough(batch: pa.Table) -> pa.Table:

@@ -300,10 +300,9 @@ def merge_changes(snapshot, delta, key, op_column: str | None = None,
             raise ValueError("bloom_bits must be a power of two >= 64")
         ref = build_key_bloom(delta, keys, out_keys=keys,
                               out_types=out_types, bits=bloom_bits)
-        mask = bloom_bits - 1
 
         def split(batch: pa.Table, want_hits: bool) -> pa.Table:
-            hits = bloom_probe_hits(batch, keys, ray.get(ref), 4, mask)
+            hits = bloom_probe_hits(batch, keys, ray.get(ref), 4)
             t = batch.filter(pa.array(hits if want_hits else ~hits))
             return t if want_hits else t.select(out_names)
 

@@ -553,19 +553,6 @@ def anti_join(left, right, key, right_key=None):
     return semi_join(left, right, key, right_key=right_key, anti=True)
 
 
-_BLOOM_C1 = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _bloom_indices(base: np.ndarray, num_hashes: int, mask: int):
-    """Double-hashing index family over a base 64-bit hash: idx_i =
-    (h1 + i*h2) & mask, h2 forced odd so the probe sequence never
-    degenerates (mask is 2^b - 1)."""
-    with np.errstate(over="ignore"):
-        h2 = ((base * _BLOOM_C1) >> np.uint64(1)) | np.uint64(1)
-        for i in range(num_hashes):
-            yield ((base + np.uint64(i) * h2) & np.uint64(mask))
-
-
 def build_key_bloom(side, side_keys: list, *, out_keys: list,
                     out_types: dict, bits: int = 1 << 23,
                     num_hashes: int = 4):
@@ -573,23 +560,25 @@ def build_key_bloom(side, side_keys: list, *, out_keys: list,
     per-block ``bits/8``-byte partials (never the keys), OR-reduced in a
     64-ary map-only tree, final bitmap ``ray.put`` once. Returns the
     object ref of the uint64 word array. Shared by
-    :func:`bloom_semi_join` and ``merge.merge_changes``."""
+    :func:`bloom_semi_join`, ``merge.merge_changes`` and dedup."""
     import ray
 
+    from ..container import bloom_set
+
+    if bits < 64 or bits & (bits - 1):
+        # < 64 passes the power-of-two check but leaves no uint64 word
+        raise ValueError("bits must be a power of two >= 64")
     from .dedup import _content_hash64
 
-    nwords, mask = bits >> 6, bits - 1
+    nwords = bits >> 6
     env = package_runtime_env()
 
     def build_partial(batch: pa.Table) -> pa.Table:
         kt = batch.filter(_keys_valid(batch, side_keys))
         kt = kt.select(side_keys).rename_columns(out_keys)
         kt = _cast_key_table(kt, out_keys, out_types)
-        base = _content_hash64(_key_join(kt, out_keys))
         words = np.zeros(nwords, dtype=np.uint64)
-        for idx in _bloom_indices(base, num_hashes, mask):
-            np.bitwise_or.at(words, (idx >> np.uint64(6)).astype(np.int64),
-                             np.uint64(1) << (idx & np.uint64(63)))
+        bloom_set(words, _content_hash64(_key_join(kt, out_keys)), num_hashes)
         return pa.table({"bm": pa.array([words.tobytes()],
                                         type=pa.large_binary())})
 
@@ -612,19 +601,15 @@ def build_key_bloom(side, side_keys: list, *, out_keys: list,
 
 
 def bloom_probe_hits(batch: pa.Table, keys: list, words: np.ndarray,
-                     num_hashes: int, mask: int) -> np.ndarray:
+                     num_hashes: int) -> np.ndarray:
     """Vectorized membership test of a batch's key tuples against a
     :func:`build_key_bloom` bitmap -> bool mask (null keys never hit)."""
+    from ..container import bloom_test
     from .dedup import _content_hash64
 
     valid = _keys_valid(batch, keys).to_numpy(zero_copy_only=False)
-    base = _content_hash64(_key_join(batch, keys))
-    hits = valid.copy()
-    for idx in _bloom_indices(base, num_hashes, mask):
-        bit = (words[(idx >> np.uint64(6)).astype(np.int64)]
-               >> (idx & np.uint64(63))) & np.uint64(1)
-        hits &= bit.astype(bool)
-    return hits
+    return valid & bloom_test(words, _content_hash64(_key_join(batch, keys)),
+                              num_hashes)
 
 
 def bloom_semi_join(left, right, key, right_key=None, *, anti: bool = False,
@@ -651,23 +636,18 @@ def bloom_semi_join(left, right, key, right_key=None, *, anti: bool = False,
 
     The false-positive rate (~(1-e^(-kn/m))^k) only affects how much work
     the exact stage sees, never the result. Default 2^23 bits = 1 MiB
-    handles ~1M distinct right keys at <2% fp; size ``bits`` (a power of
+    gives ~2% fp at 1M distinct right keys (k=4); size ``bits`` (a power of
     two) to the right side's distinct-key count. The right dataset's
     lineage executes twice (bitmap build + exact residual) — at 100 TB
     that trade beats shuffling the non-matching bulk of the left side.
     """
     import ray
 
-    if bits < 64 or bits & (bits - 1):
-        # < 64 passes the power-of-two check but makes the uint64 word
-        # array empty, crashing with a bare IndexError inside a worker
-        raise ValueError("bits must be a power of two >= 64")
     keys = [key] if isinstance(key, str) else list(key)
     right_keys = keys if right_key is None else (
         [right_key] if isinstance(right_key, str) else list(right_key))
     l_schema = left.schema()
     l_types = {nm: t for nm, t in zip(l_schema.names, l_schema.types)}
-    mask = bits - 1
     env = package_runtime_env()
 
     ref = build_key_bloom(right, right_keys, out_keys=keys,
@@ -675,7 +655,7 @@ def bloom_semi_join(left, right, key, right_key=None, *, anti: bool = False,
                           num_hashes=num_hashes)
 
     def probe(batch: pa.Table, want_hits: bool) -> pa.Table:
-        hits = bloom_probe_hits(batch, keys, ray.get(ref), num_hashes, mask)
+        hits = bloom_probe_hits(batch, keys, ray.get(ref), num_hashes)
         return batch.filter(pa.array(hits if want_hits else ~hits))
 
     maybe = left.map_batches(lambda b: probe(b, True),

@@ -85,6 +85,17 @@ def test_timestamp_zoneless_fallback_zone_dst():
     assert not bad, bad[:5]
 
 
+def test_timestamp_offset_inside_fallback_zone_dst_gap():
+    """An offset-bearing wall time that falls in the fallback zone's
+    spring-forward gap resolves by its own offset; only zoneless rows
+    localize (assume_timezone used to raise on the whole batch)."""
+    opts = CoerceOptions(timezone="America/New_York")
+    got = to_timestamp(pa.array(["2023-03-12T02:30:00+05:00",
+                                 "2023-03-12T01:30:00"]), "ms", opts=opts)
+    assert got.to_pylist() == [datetime(2023, 3, 11, 21, 30),
+                               datetime(2023, 3, 12, 6, 30)]
+
+
 def _ref_int64(s: str):
     """Trusted reference for _string_to_int64's documented semantics:
     exact decimal-integer strings (int64 range, else null), whole-valued

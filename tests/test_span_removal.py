@@ -190,3 +190,18 @@ def test_span_removal_distributed_tiny_bloom(ray_session):
     want = _ref_remove(docs)
     for did in want:
         assert got[did] == want[did], (did, got[did], want[did])
+
+
+def test_span_removal_rejects_non_integer_ids(ray_session):
+    """Ids ride every shuffle as int64: a string id column fails at the
+    call with a ValueError naming the column, not inside a worker."""
+    import pytest
+    import ray.data
+
+    from plugin_serdes_ray.pipelines.dedup import remove_duplicate_spans
+
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(["a", "b"]),
+        "text": pa.array(["x" * 40, "x" * 40])}))
+    with pytest.raises(ValueError, match="'doc_id' must be an integer"):
+        remove_duplicate_spans(ds, "text", "doc_id")
