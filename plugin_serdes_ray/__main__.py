@@ -97,17 +97,13 @@ def _typed_where_value(input_dir: str, col: str, value: str):
     for a string column into an int, crashing the comparison kernel).
     Peeks one part header's embedded Arrow schema; an unknown column
     (schema evolution) falls back to the permissive numeric guess."""
-    import base64
-
     import pyarrow as pa
 
-    from .container import read_header
+    from .container import header_schema, read_header
     from .encode import _part_files
 
     for f in _part_files(input_dir)[:1]:
-        hdr = read_header(f)
-        schema = pa.ipc.read_schema(pa.BufferReader(
-            base64.b64decode(hdr["schema"])))
+        schema = header_schema(read_header(f))
         if col not in schema.names:
             break
         t = schema.field(col).type

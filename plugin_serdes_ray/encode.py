@@ -5,29 +5,40 @@ Two write paths (SURVEY.md §7.2):
 - :func:`encode_files` — the resumable production path. Partitioning is a
   pure function of the input file list (one container partition per input
   parquet file), so a resumed run re-derives identical partitions and skips
-  manifest-complete ones. Each partition is encoded by one Ray task inside
-  an actor-pool ``map_batches`` stage (plan deserialized once per actor, not
-  per batch) that streams the file row-group-by-row-group.
+  manifest-complete ones. Partitions are packed into at most four Ray
+  tasks per CPU of one task-pool ``map_batches`` stage
+  (:func:`_run_task_stage`); each task encodes its contiguous run of
+  partitions one by one, each into its own part file and manifest entry.
 
 - :func:`encode_dataset` — the fully streaming path for arbitrary Datasets
   (output of upstream transforms): ``ds.map_batches(EncodeBlock)`` writes one
   container file per block with no driver materialization. Not resumable
   (block ids are not stable across runs) but pipelined end to end.
 
-Decode is a Dataset again: one task per partition file.
+Decode is a Dataset again: one task and one block per kept partition file
+(never packed — callers may rely on a block per part); a read whose every
+part is pruned is a zero-row Dataset that still carries the output schema.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import struct
 import time
+import zlib
 from typing import Any, Iterable, Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .container import read_partition, write_partition
+from .codecs import decode_array
+from .container import (
+    ChunkCorruption, _outer_decompress, bloom_hashes, bloom_may_contain,
+    header_schema, output_schema, partition_codec_report, read_header,
+    read_partition, temporal_type_from_tag, write_partition)
 from .util import file_stamp as _fingerprint, package_runtime_env
 from .plan import EncodePlan, build_plan
 from .state import checkpoint
@@ -138,62 +149,80 @@ def plan_partitions(files: list[str],
     return parts
 
 
-#: per-part result columns of the encode and compaction task stages
-_RESULT_KEYS = ("part_id", "rows", "raw_bytes", "enc_bytes", "secs")
 #: manifest fields copied from a write_partition result
 _METRIC_KEYS = ("rows", "raw_bytes", "enc_bytes", "codecs", "column_bytes",
                 "stats", "blooms")
 
 
-def _results(rows: list) -> dict:
-    """Task-stage output: one array per _RESULT_KEYS column."""
-    cols = list(zip(*rows)) or [()] * len(_RESULT_KEYS)
-    return {k: np.asarray(c) for k, c in zip(_RESULT_KEYS, cols)}
+#: Ray tasks per CPU that one task stage launches: four waves keep a
+#: straggler part from idling a CPU for long
+_TASKS_PER_CPU = 4
 
 
-def _task_concurrency(n: int) -> int:
-    """One task per cluster CPU, at most ``n``."""
+def _run_task_stage(items: list[dict], fn, fn_kwargs: dict,
+                    concurrency: Optional[int], batch_format: str) -> list:
+    """The one task stage of encode, compaction and verify: the items are
+    cut into at most four contiguous runs per CPU (``concurrency``, which
+    defaults to the cluster's CPUs), as even as ``from_items`` splits
+    blocks, so a run holds at most ``ceil(n / (4 × concurrency))`` items.
+    Each run is one block, so ``fn`` sees it as one batch in one Ray task
+    on one CPU. A Ray Data task costs ~16 ms of executor time, more than a
+    small part's own work, so one task per item left small-file stages
+    bound by the executor. Each item still writes its own file and
+    manifest entry, so a retried task rewrites the same bytes. Returns
+    ``fn``'s output rows."""
     import ray
+    import ray.data
 
-    return max(min(n, int(ray.cluster_resources().get("CPU", 8))), 1)
+    if concurrency is None:
+        concurrency = max(int(ray.cluster_resources().get("CPU", 8)), 1)
+    runs = min(len(items), _TASKS_PER_CPU * concurrency)
+    return ray.data.from_items(items, override_num_blocks=runs).map_batches(
+        fn, fn_kwargs=fn_kwargs, batch_size=None, batch_format=batch_format,
+        concurrency=min(concurrency, runs), num_cpus=1,
+        runtime_env=package_runtime_env()).take_all()
+
+
+def _read_input(path: str, rg_start: int, rg_end: int,
+                columns: Optional[list[str]]) -> pa.Table:
+    """Row groups ``[rg_start, rg_end)`` of one input parquet file. The
+    reader, and the whole-file buffer, are gone when this returns, so they
+    are not live while the table is encoded."""
+    pf = pq.ParquetFile(path)
+    if rg_start == 0 and rg_end >= pf.num_row_groups:
+        # whole file: one read call, parsed in memory with the footer
+        # already read (read_table's dataset path took about twice as
+        # long per small file)
+        meta = pf.metadata
+        pf.close()
+        with open(path, "rb") as f:
+            pf = pq.ParquetFile(pa.BufferReader(f.read()), metadata=meta)
+    # use_threads=False: this task owns ONE cpu (num_cpus=1) and the
+    # threaded arrow read path is 30x slower than single-threaded on
+    # this VM even with a 1-thread pool (measured r3; parallelism
+    # lives in the task fan-out, not inside the read)
+    with pf:
+        return pf.read_row_groups(list(range(rg_start, rg_end)),
+                                  columns=columns, use_threads=False)
 
 
 def encode_shard_batch(batch: dict, *, plan: EncodePlan, out_dir: str,
                        columns: Optional[list[str]] = None) -> dict:
-    """Task stage: one input partition (file or row-group range) -> one
-    container partition.
+    """Task stage: a run of input partitions (each a file or row-group
+    range) -> one container partition each.
 
     Encode is stateless-given-plan (shared FSST tables / dictionaries travel
     inside the frozen plan), so this runs as plain Ray tasks that reuse
     pre-warmed workers instead of paying actor-pool startup; the stateful
     actor-pool pattern is reserved for stages with real online state
     (see EncodeBlock below and pipelines/)."""
-    results = []
     for part_id, path, rg_start, rg_end, fingerprint in zip(
             batch["part_id"], batch["path"], batch["rg_start"],
             batch["rg_end"], batch["fingerprint"]):
         part_id = int(part_id)
         rg_start, rg_end = int(rg_start), int(rg_end)
         t0 = time.perf_counter()
-        pf = pq.ParquetFile(str(path))
-        whole = rg_start == 0 and rg_end >= pf.num_row_groups
-        if whole:
-            # one read syscall + in-memory parse (I/O syscalls serialize
-            # across sandboxed workers)
-            pf.close()
-            with open(str(path), "rb") as f:
-                data = f.read()
-            # use_threads=False: this task owns ONE cpu (num_cpus=1) and the
-            # threaded arrow read path is 30x slower than single-threaded on
-            # this VM even with a 1-thread pool (measured r3; parallelism
-            # lives in the task fan-out, not inside the read)
-            table = pq.read_table(pa.BufferReader(data), columns=columns,
-                                  use_threads=False)
-            del data
-        else:
-            table = pf.read_row_groups(list(range(rg_start, rg_end)),
-                                       columns=columns, use_threads=False)
-            pf.close()
+        table = _read_input(str(path), rg_start, rg_end, columns)
         out_name = f"part-{part_id:05d}.grck"
         metrics = write_partition(
             table, os.path.join(out_dir, out_name),
@@ -211,9 +240,7 @@ def encode_shard_batch(batch: dict, *, plan: EncodePlan, out_dir: str,
             **{k: metrics[k] for k in _METRIC_KEYS},
             "secs": secs,
         })
-        results.append((part_id, metrics["rows"], metrics["raw_bytes"],
-                        metrics["enc_bytes"], secs))
-    return _results(results)
+    return {"part_id": np.asarray(batch["part_id"])}
 
 
 def encode_files(files: list[str], out_dir: str, *,
@@ -225,9 +252,6 @@ def encode_files(files: list[str], out_dir: str, *,
                  target_part_bytes: int = 256 << 20) -> dict:
     """Resumable two-pass encode of a list of parquet files (large files
     split into row-group-range partitions bounded by target_part_bytes)."""
-    import ray
-    import ray.data
-
     files = sorted(str(f) for f in files)
     if not files:
         raise ValueError("encode_files: empty input file list "
@@ -256,18 +280,9 @@ def encode_files(files: list[str], out_dir: str, *,
     todo = [p for p in partitions if p["part_id"] not in done]
     skipped = len(partitions) - len(todo)
     if todo:
-        ds = ray.data.from_items(todo)
-        if concurrency is None:
-            concurrency = _task_concurrency(len(todo))
-        metrics = ds.map_batches(
-            encode_shard_batch,
-            fn_kwargs={"plan": plan, "out_dir": out_dir, "columns": columns},
-            batch_size=1,
-            concurrency=min(concurrency, len(todo)),
-            num_cpus=1,
-            batch_format="numpy",
-            runtime_env=package_runtime_env(),
-        ).take_all()  # small: one row per partition
+        _run_task_stage(todo, encode_shard_batch,
+                        {"plan": plan, "out_dir": out_dir, "columns": columns},
+                        concurrency, "numpy")
     summary = checkpoint.Manifest(out_dir).summary()
     summary["skipped_parts"] = skipped
     summary["plan"] = dict(plan.codecs)
@@ -372,8 +387,6 @@ def evolve_table(t: pa.Table, target_schema: pa.Schema, *,
     The reference's closest feature is the Avro writer's provided-schema
     projection (avro/IonToAvro.java's schema handling); this generalizes it
     to every decode path."""
-    import pyarrow.compute as pc
-
     defaults = defaults or {}
     renames = renames or {}
     src_by_target: dict[str, str] = {}
@@ -435,10 +448,11 @@ def plan_compaction_bins(src_dir: str,
 def compact_bin_batch(batch: dict, *, plan: EncodePlan, src_dir: str,
                       dst_dir: str,
                       src_raw_bytes: Optional[dict] = None) -> dict:
-    """Task stage: one compaction bin (N small source parts) -> one
-    target-size container partition. Decode is chunk-streamed per source
-    part; the bin's DECODED bytes (~= target_part_bytes x compression
-    ratio) bound this task's heap, the same bound encode_shard_batch has.
+    """Task stage: each compaction bin of the batch (N small source parts)
+    -> one target-size container partition, one bin at a time. Decode is
+    chunk-streamed per source part; one bin's DECODED bytes (~=
+    target_part_bytes x compression ratio) bound this task's heap, the
+    same bound encode_shard_batch has.
 
     A SINGLETON bin (one source part already at/over target) is
     byte-copied, never decoded or re-encoded — in a long-tail compaction
@@ -451,81 +465,59 @@ def compact_bin_batch(batch: dict, *, plan: EncodePlan, src_dir: str,
     (unknown) when the source dir has no manifest entry — summary()
     then reports raw_unknown_parts and computes the ratio over known
     parts only (ADVICE r4: the 0 default understated the ratio)."""
-    from .container import read_header
-
-    results = []
     for part_id, files_s, fingerprint in zip(
             batch["part_id"], batch["files"], batch["fingerprint"]):
         part_id = int(part_id)
         names = str(files_s).split("\n")
         t0 = time.perf_counter()
+        out_name = f"part-{part_id:05d}.grck"
+        dst_path = os.path.join(dst_dir, out_name)
         if len(names) == 1:
-            import shutil
-
-            src_path = os.path.join(src_dir, names[0])
-            out_name = f"part-{part_id:05d}.grck"
-            dst_path = os.path.join(dst_dir, out_name)
             tmp = dst_path + ".tmp"
-            shutil.copyfile(src_path, tmp)
+            shutil.copyfile(os.path.join(src_dir, names[0]), tmp)
             os.replace(tmp, dst_path)  # atomic publish, like write_partition
             header = read_header(dst_path)
-            from .container import partition_codec_report
-
-            report = partition_codec_report(dst_path)
-            # None (not 0) when the source dir has no manifest entry: the
-            # copy never decodes, so the raw size is genuinely UNKNOWN —
-            # summary() reports it as such instead of understating ratio
-            raw = (src_raw_bytes or {}).get(names[0])
-            enc = os.path.getsize(dst_path)
-            secs = time.perf_counter() - t0
-            checkpoint.write_manifest_entry(dst_dir, part_id, {
-                "part_id": part_id,
-                "input": src_dir,
-                "inputs": names,
-                "input_fingerprint": str(fingerprint),
-                "file": out_name,
+            metrics = {
                 "rows": header["rows"],
-                "raw_bytes": raw,
-                "enc_bytes": enc,
-                "codecs": {c: (u[0] if u else "plain")
-                           for c, u in report.items()},
+                # None (not 0) when the source dir has no manifest entry:
+                # the copy never decodes, so the raw size is genuinely
+                # UNKNOWN — summary() reports it as such instead of
+                # understating ratio
+                "raw_bytes": (src_raw_bytes or {}).get(names[0]),
+                "enc_bytes": os.path.getsize(dst_path),
+                "codecs": {c: (u[0] if u else "plain") for c, u in
+                           partition_codec_report(dst_path).items()},
                 "stats": header.get("stats", {}),
                 "blooms": header.get("blooms", {}),
                 "copied": True,
-                "secs": secs,
-            })
-            results.append((part_id, header["rows"],
-                            raw if raw is not None else 0, enc, secs))
-            continue
-        tables = [read_partition(os.path.join(src_dir, n)) for n in names]
-        for i, t in enumerate(tables[1:], 1):
-            if not t.schema.equals(tables[0].schema):
-                raise ValueError(
-                    f"compact_parts: mixed schemas inside {src_dir} "
-                    f"({names[0]} vs {names[i]}); evolve the parts to one "
-                    "schema before compacting")
-        table = pa.concat_tables(tables).combine_chunks()
-        del tables
-        out_name = f"part-{part_id:05d}.grck"
-        metrics = write_partition(
-            table, os.path.join(dst_dir, out_name),
-            plan.codecs, plan.context(),
-            extra_meta={"part_id": part_id, "inputs": names,
-                        "compacted_from": src_dir},
-        )
-        secs = time.perf_counter() - t0
+            }
+        else:
+            tables = [read_partition(os.path.join(src_dir, n))
+                      for n in names]
+            for i, t in enumerate(tables[1:], 1):
+                if not t.schema.equals(tables[0].schema):
+                    raise ValueError(
+                        f"compact_parts: mixed schemas inside {src_dir} "
+                        f"({names[0]} vs {names[i]}); evolve the parts to "
+                        "one schema before compacting")
+            table = pa.concat_tables(tables).combine_chunks()
+            del tables
+            metrics = write_partition(
+                table, dst_path, plan.codecs, plan.context(),
+                extra_meta={"part_id": part_id, "inputs": names,
+                            "compacted_from": src_dir},
+            )
+            metrics = {k: metrics[k] for k in _METRIC_KEYS}
         checkpoint.write_manifest_entry(dst_dir, part_id, {
             "part_id": part_id,
             "input": src_dir,
             "inputs": names,
             "input_fingerprint": str(fingerprint),
             "file": out_name,
-            **{k: metrics[k] for k in _METRIC_KEYS},
-            "secs": secs,
+            **metrics,
+            "secs": time.perf_counter() - t0,
         })
-        results.append((part_id, metrics["rows"], metrics["raw_bytes"],
-                        metrics["enc_bytes"], secs))
-    return _results(results)
+    return {"part_id": np.asarray(batch["part_id"])}
 
 
 def compact_parts(src_dir: str, dst_dir: str, *,
@@ -542,8 +534,10 @@ def compact_parts(src_dir: str, dst_dir: str, *,
     encode over millions of small inputs leaves a long tail of tiny parts;
     per-file open/seek overhead then dominates decode, and the manifest
     grows unbounded. Compaction is the standard lakehouse answer
-    (Iceberg/Delta ``rewrite_data_files``); here it is one Ray task per
-    output bin, each bounded by the bin's decoded size.
+    (Iceberg/Delta ``rewrite_data_files``); here the output bins are
+    packed into at most four Ray tasks per CPU (:func:`_run_task_stage`),
+    each writing its bins one at a time, so a task's heap is bounded by one
+    bin's decoded size.
 
     Resumable: bins are a pure function of the source listing, each
     completed bin publishes an atomic manifest entry keyed by the source
@@ -552,9 +546,6 @@ def compact_parts(src_dir: str, dst_dir: str, *,
     Singleton bins (a part already at/over target) are byte-copied, never
     re-encoded (manifest entry marked ``copied``) — compaction CPU scales
     with the small-part tail, not the container size."""
-    import ray
-    import ray.data
-
     if os.path.abspath(src_dir) == os.path.abspath(dst_dir):
         raise ValueError("compact_parts: in-place compaction is not "
                          "supported; write to a fresh dst_dir and swap")
@@ -574,22 +565,13 @@ def compact_parts(src_dir: str, dst_dir: str, *,
     done = checkpoint.completed_parts(dst_dir, fingerprints) if resume else set()
     todo = [b for b in bins if b["part_id"] not in done]
     if todo:
-        if concurrency is None:
-            concurrency = _task_concurrency(len(todo))
         # raw_bytes for byte-copied singleton bins comes from the SOURCE
         # manifest (the copy never decodes, so it can't measure it)
         src_raw = {e["file"]: e.get("raw_bytes")
                    for e in checkpoint.read_manifest_entries(src_dir).values()}
-        ray.data.from_items(todo).map_batches(
-            compact_bin_batch,
-            fn_kwargs={"plan": plan, "src_dir": src_dir, "dst_dir": dst_dir,
-                       "src_raw_bytes": src_raw},
-            batch_size=1,
-            concurrency=min(concurrency, len(todo)),
-            num_cpus=1,
-            batch_format="numpy",
-            runtime_env=package_runtime_env(),
-        ).take_all()  # small: one row per bin
+        _run_task_stage(todo, compact_bin_batch,
+                        {"plan": plan, "src_dir": src_dir, "dst_dir": dst_dir,
+                         "src_raw_bytes": src_raw}, concurrency, "numpy")
     summary = checkpoint.Manifest(dst_dir).summary()
     summary["skipped_parts"] = len(bins) - len(todo)
     summary["source_parts"] = sum(
@@ -599,17 +581,12 @@ def compact_parts(src_dir: str, dst_dir: str, *,
 
 
 def scrub_part_batch(batch: pa.Table, *, deep: bool = False) -> pa.Table:
-    """Task stage: integrity-scan one container part.
+    """Task stage: integrity-scan each container part of the batch.
 
     Shallow mode reads every chunk payload and checks its CRC32 — pure
     sequential I/O, no decode cost. Deep mode also decodes every chunk and
     checks the decoded row count against the header (catches a corrupt
     symbol table / dictionary whose payload still CRCs clean)."""
-    import zlib
-
-    from .codecs import decode_array
-    from .container import _outer_decompress, header_schema, read_header
-
     out = {"file": [], "ok": [], "rows": [], "chunks": [], "error": []}
     for path in batch["path"].to_pylist():
         path = str(path)
@@ -661,9 +638,10 @@ def scrub_part_batch(batch: pa.Table, *, deep: bool = False) -> pa.Table:
 
 def verify_container(out_dir: str, *, deep: bool = False,
                      concurrency: Optional[int] = None) -> dict:
-    """Distributed container fsck: one Ray task per part checks every chunk
-    CRC (``deep=True`` additionally decodes every chunk and cross-checks
-    row counts), then the manifest is reconciled driver-side — entries
+    """Distributed container fsck: the parts are packed into at most four
+    Ray tasks per CPU (:func:`_run_task_stage`), which check every chunk CRC
+    of each part (``deep=True`` additionally decodes every chunk and
+    cross-checks row counts), then the manifest is reconciled driver-side — entries
     whose part file is missing, part files no manifest entry claims
     (orphans double-count on decode), and row counts that disagree.
 
@@ -671,24 +649,12 @@ def verify_container(out_dir: str, *, deep: bool = False,
     "orphans": [...], "row_mismatches": [...]}``. The report is
     O(parts) rows — safe to materialize. At 100 TB this is the
     post-ingest audit you run BEFORE deleting the source data."""
-    import ray
-    import ray.data
-
     files = _part_files(out_dir)
     if not files:
         raise ValueError(f"verify_container: no .grck parts in {out_dir}")
-    if concurrency is None:
-        concurrency = _task_concurrency(len(files))
-    report_rows = ray.data.from_items(
-        [{"path": f} for f in files]).map_batches(
-        scrub_part_batch,
-        fn_kwargs={"deep": deep},
-        batch_size=1,
-        batch_format="pyarrow",
-        concurrency=min(concurrency, len(files)),
-        num_cpus=1,
-        runtime_env=package_runtime_env(),
-    ).take_all()  # O(parts): one row per part
+    report_rows = _run_task_stage([{"path": f} for f in files],
+                                  scrub_part_batch, {"deep": deep},
+                                  concurrency, "pyarrow")  # one row per part
     report = pa.Table.from_pylist(report_rows)
     by_file = {r["file"]: r for r in report_rows}
     entries = checkpoint.read_manifest_entries(out_dir)
@@ -729,8 +695,6 @@ def _zone_may_match(stats: Optional[list], op: str, value) -> bool:
         # temporal column: lo/hi are int64 storage units; convert the
         # predicate value into the column's OWN unit/tz via pa.scalar.
         # Any conversion uncertainty keeps the partition (conservative).
-        from .container import temporal_type_from_tag
-
         try:
             typ = temporal_type_from_tag(str(stats[2]))
             value = pa.scalar(value, type=typ).cast(pa.int64()).as_py()
@@ -816,10 +780,6 @@ def decode_part_batch(batch: pa.Table, *, columns: Optional[list[str]] = None,
                       safe_cast: bool = True,
                       dictionary_columns: Optional[list[str]] = None,
                       ) -> Iterable[pa.Table]:
-    import pyarrow.compute as pc
-
-    from .container import header_schema, output_schema, read_header
-
     dnf = _normalize_predicates(predicate)
     pred_cols = _dnf_columns(dnf)
     # predicate columns must be decoded even when the caller's projection
@@ -988,8 +948,6 @@ def _ruled_out(entry: Optional[dict], col, op, value,
                hashed: dict) -> Optional[str]:
     """How the part's zone map (min/max) or distinct-value Bloom proves
     the conjunct false on every row, or None when it cannot."""
-    from .container import bloom_may_contain
-
     if op in ("!=", "is_null", "not_null"):
         return None   # min/max and Blooms cannot exclude these
     stats = (entry or {}).get("stats", {}).get(col)
@@ -1027,8 +985,6 @@ def _part_verdict(entry: Optional[dict], dnf: list,
 def _verdicts(out_dir, dnf: list):
     """``(path, kept, reason)`` per part; every ``==``/``in`` probe value
     of the query is hashed once, in one call, before the walk."""
-    from .container import bloom_hashes
-
     hashed = bloom_hashes(v for d in dnf for _, op, val in d
                           for v in (val if op == "in" else
                                     [val] if op == "==" else []))
@@ -1066,8 +1022,6 @@ def count_rows(out_dir, predicate=None) -> int:
     parts, the survivors decode ONLY the predicate columns and count the
     mask — never the payload columns. The 100 TB 'how many rows match'
     question costs metadata + the predicate column bytes."""
-    from .container import read_header
-
     preds = _normalize_predicates(predicate)
     if not preds:
         return sum(e["rows"] if e is not None else read_header(f)["rows"]
@@ -1122,8 +1076,26 @@ def decode_dataset(out_dir, columns: Optional[list[str]] = None,
         # fail at the call site, not inside a worker traceback
         raise ValueError("decode_dataset: pass either columns= or "
                          "target_schema=, not both")
-    preds = _normalize_predicates(predicate)
-    files = _pruned_files(out_dir, preds)
+    verdicts = list(_verdicts(out_dir, _normalize_predicates(predicate)))
+    files = [f for f, kept, _ in verdicts if kept]
+    if verdicts and not files:
+        # every part pruned by its manifest entry: zero rows that still
+        # carry the output schema, from the first part header that reads,
+        # with no payload decoded and no task run (no readable header: no
+        # schema, as for a directory without parts)
+        schema, pruned = target_schema, [f for f, _, _ in verdicts]
+        while schema is None and pruned:
+            try:
+                stored = header_schema(read_header(pruned.pop(0)))
+            except (OSError, ValueError, ChunkCorruption, struct.error):
+                continue
+            schema = output_schema(
+                stored, stored.names if columns is None else columns,
+                dictionary_columns or ())
+        if schema is not None:
+            # from_blocks, unlike from_arrow, reads the block metadata
+            # here instead of in a Ray task
+            return ray.data.from_blocks([schema.empty_table()])
     ds = ray.data.from_items([{"path": f} for f in files])
     return ds.map_batches(
         decode_part_batch,

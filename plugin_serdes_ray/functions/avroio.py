@@ -79,21 +79,43 @@ def _type_of(schema: Any) -> Any:
 EPOCH_DATE = datetime.date(1970, 1, 1)
 
 
-def write_datum(out: io.BytesIO, schema: Any, v: Any, named: dict) -> None:
+def named_types(schema: Any) -> dict:
+    """fullname -> definition of every named type ``schema`` defines, as
+    the validator registers them: the ``named`` that write_datum,
+    read_datum and _accepts resolve references in (``ns`` is the
+    enclosing namespace)."""
+    named: dict = {}
+    _walk_schema(schema, named, [])
+    return named
+
+
+def _deref(schema: Any, ns: str, named: dict) -> tuple[Any, str]:
+    """``(definition, namespace inside it)``: a by-name reference resolves
+    through ``named`` from the enclosing namespace ``ns``; a named
+    definition opens its own namespace for the types nested in it."""
+    t = _type_of(schema)
+    if t in ("record", "enum", "fixed"):
+        full = _fullname(schema, ns)
+        return schema, full.rpartition(".")[0] if isinstance(full, str) else ns
+    if isinstance(t, str) and t not in _PRIMITIVES and t not in ("array", "map"):
+        full = _resolve(t, ns, named)
+        if full is not None:
+            return named[full], full.rpartition(".")[0]
+    return schema, ns
+
+
+def write_datum(out: io.BytesIO, schema: Any, v: Any, named: dict,
+                ns: str = "") -> None:
+    schema, ns = _deref(schema, ns, named)
     t = _type_of(schema)
     lt = _logical(schema)
     if isinstance(t, list):  # union: first branch that accepts the value
         for i, branch in enumerate(t):
-            if _accepts(branch, v, named):
+            if _accepts(branch, v, named, ns):
                 _write_long(out, i)
-                write_datum(out, branch, v, named)
+                write_datum(out, branch, v, named, ns)
                 return
         raise ValueError(f"no union branch for {v!r} in {t}")
-    if isinstance(schema, list):
-        return write_datum(out, {"type": schema}, v, named)
-    if isinstance(t, str) and t in named and t not in _PRIMS and t not in (
-            "record", "array", "map", "union", "fixed", "enum"):
-        return write_datum(out, named[t], v, named)
     if t == "null":
         return
     if t == "boolean":
@@ -129,24 +151,22 @@ def write_datum(out: io.BytesIO, schema: Any, v: Any, named: dict) -> None:
             v = unscaled.to_bytes(length, "big", signed=True)
         _write_bytes(out, bytes(v))
     elif t == "fixed":
-        named[schema["name"]] = schema  # later by-name references (spec-legal)
         b = bytes(v)
         if len(b) != schema["size"]:
             raise ValueError(f"fixed size mismatch: {len(b)} != {schema['size']}")
         out.write(b)
     elif t == "enum":
-        named[schema["name"]] = schema
         _write_long(out, schema["symbols"].index(v))
     elif t == "record":
-        named[schema["name"]] = schema
         for f in schema["fields"]:
-            write_datum(out, f["type"], None if v is None else v.get(f["name"]), named)
+            write_datum(out, f["type"], None if v is None else v.get(f["name"]),
+                        named, ns)
     elif t == "array":
         items = list(v or [])
         if items:
             _write_long(out, len(items))
             for item in items:
-                write_datum(out, schema["items"], item, named)
+                write_datum(out, schema["items"], item, named, ns)
         _write_long(out, 0)
     elif t == "map":
         entries = dict(v or {})
@@ -154,20 +174,15 @@ def write_datum(out: io.BytesIO, schema: Any, v: Any, named: dict) -> None:
             _write_long(out, len(entries))
             for k, x in entries.items():
                 _write_bytes(out, str(k).encode())
-                write_datum(out, schema["values"], x, named)
+                write_datum(out, schema["values"], x, named, ns)
         _write_long(out, 0)
     else:
         raise TypeError(f"unsupported avro type {t!r}")
 
 
-_PRIMS = {"null", "boolean", "int", "long", "float", "double", "string", "bytes"}
-
-
-def _accepts(branch: Any, v: Any, named: dict) -> bool:
+def _accepts(branch: Any, v: Any, named: dict, ns: str = "") -> bool:
+    branch, _ = _deref(branch, ns, named)
     t = _type_of(branch)
-    if isinstance(t, str) and t in named:
-        branch = named[t]
-        t = _type_of(branch)
     if t == "null":
         return v is None
     if v is None:
@@ -214,17 +229,13 @@ def _accepts(branch: Any, v: Any, named: dict) -> bool:
     return False
 
 
-def read_datum(inp: BinaryIO, schema: Any, named: dict) -> Any:
+def read_datum(inp: BinaryIO, schema: Any, named: dict, ns: str = "") -> Any:
+    schema, ns = _deref(schema, ns, named)
     t = _type_of(schema)
     lt = _logical(schema)
     if isinstance(t, list):
         idx = _read_long(inp)
-        return read_datum(inp, t[idx], named)
-    if isinstance(schema, list):
-        return read_datum(inp, {"type": schema}, named)
-    if isinstance(t, str) and t in named and t not in _PRIMS and t not in (
-            "record", "array", "map", "union", "fixed", "enum"):
-        return read_datum(inp, named[t], named)
+        return read_datum(inp, t[idx], named, ns)
     if t == "null":
         return None
     if t == "boolean":
@@ -234,7 +245,6 @@ def read_datum(inp: BinaryIO, schema: Any, named: dict) -> Any:
         if lt == "date":
             return EPOCH_DATE + datetime.timedelta(days=v)
         if lt in ("time-millis", "time-micros"):
-            scale = 1_000 if lt == "time-millis" else 1_000_000
             us = v * (1000 if lt == "time-millis" else 1)
             return (datetime.datetime.min + datetime.timedelta(microseconds=us)).time()
         if lt in ("timestamp-millis", "timestamp-micros"):
@@ -258,16 +268,13 @@ def read_datum(inp: BinaryIO, schema: Any, named: dict) -> Any:
             return Decimal(int.from_bytes(b, "big", signed=True)).scaleb(-scale)
         return b
     if t == "fixed":
-        named[schema["name"]] = schema
         return inp.read(schema["size"])
     if t == "enum":
-        named[schema["name"]] = schema
         return schema["symbols"][_read_long(inp)]
     if t == "record":
-        named[schema["name"]] = schema
         out = {}
         for f in schema["fields"]:
-            out[f["name"]] = read_datum(inp, f["type"], named)
+            out[f["name"]] = read_datum(inp, f["type"], named, ns)
         return out
     if t == "array":
         out = []
@@ -279,7 +286,7 @@ def read_datum(inp: BinaryIO, schema: Any, named: dict) -> Any:
                 _read_long(inp)  # block byte size, unused
                 n = -n
             for _ in range(n):
-                out.append(read_datum(inp, schema["items"], named))
+                out.append(read_datum(inp, schema["items"], named, ns))
         return out
     if t == "map":
         out = {}
@@ -292,7 +299,7 @@ def read_datum(inp: BinaryIO, schema: Any, named: dict) -> Any:
                 n = -n
             for _ in range(n):
                 k = _read_bytes(inp).decode()
-                out[k] = read_datum(inp, schema["values"], named)
+                out[k] = read_datum(inp, schema["values"], named, ns)
         return out
     raise TypeError(f"unsupported avro type {t!r}")
 
@@ -325,12 +332,12 @@ def write_container(records: Iterable[Any], schema: Any,
     out.write(sync)
 
     block: list[Any] = []
+    named = named_types(schema)
 
     def flush() -> None:
         if not block:
             return
         buf = io.BytesIO()
-        named: dict = {}
         for r in block:
             write_datum(buf, schema, r, named)
         payload = buf.getvalue()
@@ -369,6 +376,7 @@ def read_container(data: bytes) -> tuple[dict, list[Any]]:
     schema = json.loads(meta["avro.schema"])
     codec = meta.get("avro.codec", b"null").decode()
     sync = inp.read(16)
+    named = named_types(schema)
     records: list[Any] = []
     while True:
         head = inp.read(1)
@@ -383,7 +391,6 @@ def read_container(data: bytes) -> tuple[dict, list[Any]]:
         elif codec != "null":
             raise ValueError(f"unsupported avro codec {codec}")
         buf = io.BytesIO(payload)
-        named: dict = {}
         for _ in range(count):
             records.append(read_datum(buf, schema, named))
         if inp.read(16) != sync:
@@ -405,14 +412,40 @@ def _valid_name(name: Any) -> bool:
             and all(_NAME_RE.match(p) for p in name.split(".")))
 
 
+def _fullname(schema: dict, ns: str) -> str:
+    """A named type's fullname per the Avro spec: a dotted name is already
+    full; otherwise its own ``namespace`` or the enclosing one qualifies it
+    (an empty namespace is the null namespace)."""
+    name = schema.get("name")
+    if not isinstance(name, str) or "." in name:
+        return name
+    space = schema.get("namespace")
+    space = space if isinstance(space, str) else ns
+    return f"{space}.{name}" if space else name
+
+
+def _resolve(ref: str, ns: str, named: dict) -> Optional[str]:
+    """The defined fullname a type reference names, as Java's
+    Schema.Parser resolves it: a short name in the enclosing namespace
+    first, then in the null namespace."""
+    if "." in ref:
+        return ref if ref in named else None
+    for full in (f"{ns}.{ref}" if ns else ref, ref):
+        if full in named:
+            return full
+    return None
+
+
 def _walk_schema(schema: Any, named: dict, errors: list,
-                 in_union: bool = False) -> None:
+                 in_union: bool = False, ns: str = "") -> None:
     """Recursive structural validation with org.apache.avro
     Schema.Parser's rejection rules: unknown type names, malformed
     records/enums/arrays/maps/fixed, duplicate definitions and field
-    names, immediately nested unions, duplicate union branches."""
+    names, immediately nested unions, duplicate union branches. Named
+    types register and resolve by fullname; ``ns`` is the enclosing
+    namespace."""
     if isinstance(schema, str):
-        if schema not in _PRIMITIVES and schema not in named:
+        if schema not in _PRIMITIVES and _resolve(schema, ns, named) is None:
             errors.append(f'"{schema}" is not a defined name')
         return
     if isinstance(schema, list):
@@ -422,15 +455,18 @@ def _walk_schema(schema: Any, named: dict, errors: list,
             return
         seen: set = set()
         for branch in schema:
-            key = branch if isinstance(branch, str) else (
-                branch.get("name") if isinstance(branch, dict)
-                and branch.get("type") in ("record", "enum", "fixed")
-                else json.dumps(branch, sort_keys=True)
-                if isinstance(branch, dict) else repr(branch))
+            if isinstance(branch, str):
+                key = _resolve(branch, ns, named) or branch
+            elif isinstance(branch, dict):
+                key = (_fullname(branch, ns)
+                       if branch.get("type") in ("record", "enum", "fixed")
+                       else json.dumps(branch, sort_keys=True))
+            else:
+                key = repr(branch)
             if key in seen:
                 errors.append(f"duplicate in union: {key}")
             seen.add(key)
-            _walk_schema(branch, named, errors, in_union=True)
+            _walk_schema(branch, named, errors, in_union=True, ns=ns)
         return
     if not isinstance(schema, dict):
         errors.append(f"schema must be a string, list or object, "
@@ -441,18 +477,24 @@ def _walk_schema(schema: Any, named: dict, errors: list,
         errors.append('missing "type"')
         return
     if isinstance(t, (list, dict)):
-        _walk_schema(t, named, errors, in_union=in_union)
+        _walk_schema(t, named, errors, in_union=in_union, ns=ns)
         return
     if t in _PRIMITIVES:
         return
-    if t == "record" or t == "error":
+    if t in ("record", "error", "enum", "fixed"):
+        kind = "record" if t == "error" else t
         name = schema.get("name")
-        if not _valid_name(name):
-            errors.append(f"invalid record name: {name!r}")
-        elif name in named:
-            errors.append(f"redefinition of {name}")
+        full = _fullname(schema, ns)
+        if not _valid_name(name) or not _valid_name(full):
+            errors.append(f"invalid {kind} name: {name!r}")
+        elif full in named:
+            errors.append(f"redefinition of {full}")
         else:
-            named[name] = schema
+            named[full] = schema
+        if isinstance(full, str):
+            # nested definitions inherit this type's namespace
+            ns = full.rpartition(".")[0]
+    if t == "record" or t == "error":
         fields = schema.get("fields")
         if not isinstance(fields, list):
             errors.append(f'record {name!r} has no "fields" array')
@@ -471,16 +513,9 @@ def _walk_schema(schema: Any, named: dict, errors: list,
             if "type" not in fld:
                 errors.append(f'field {fn!r} has no "type"')
             else:
-                _walk_schema(fld["type"], named, errors)
+                _walk_schema(fld["type"], named, errors, ns=ns)
         return
     if t == "enum":
-        name = schema.get("name")
-        if not _valid_name(name):
-            errors.append(f"invalid enum name: {name!r}")
-        elif name in named:
-            errors.append(f"redefinition of {name}")
-        else:
-            named[name] = schema
         syms = schema.get("symbols")
         if not isinstance(syms, list) or not all(
                 _valid_name(s) and "." not in str(s) for s in syms or []):
@@ -492,28 +527,21 @@ def _walk_schema(schema: Any, named: dict, errors: list,
         if "items" not in schema:
             errors.append('array has no "items"')
         else:
-            _walk_schema(schema["items"], named, errors)
+            _walk_schema(schema["items"], named, errors, ns=ns)
         return
     if t == "map":
         if "values" not in schema:
             errors.append('map has no "values"')
         else:
-            _walk_schema(schema["values"], named, errors)
+            _walk_schema(schema["values"], named, errors, ns=ns)
         return
     if t == "fixed":
-        name = schema.get("name")
-        if not _valid_name(name):
-            errors.append(f"invalid fixed name: {name!r}")
-        elif name in named:
-            errors.append(f"redefinition of {name}")
-        else:
-            named[name] = schema
         size = schema.get("size")
         if not isinstance(size, int) or isinstance(size, bool) or size < 0:
             errors.append(f"fixed {name!r} needs a non-negative int size")
         return
     # a type that is itself a reference to a named/primitive type
-    _walk_schema(t, named, errors, in_union=in_union)
+    _walk_schema(t, named, errors, in_union=in_union, ns=ns)
 
 
 def validate_avsc(text: Optional[str]) -> list[str]:

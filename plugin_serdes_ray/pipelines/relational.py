@@ -3256,16 +3256,22 @@ def resample_timeseries(ds, key: str, ts_col: str, every: str = "1h",
             batch_format="pyarrow", runtime_env=env).take_all()]
         mm = [(a, b) for a, b in mm if a is not None]
         if not mm:
+            # no row survives and the aggregate has no schema: type the
+            # sums from the input as Ray's Sum does (a decimal keeps its
+            # input type; Ray infers its precision from the data)
             import ray.data
-            sch = agg.schema()
-            key_t = dict(zip(sch.names, sch.types)).get(key, pa.int64())
-            cols = {key: pa.array([], type=key_t),
-                    "bucket_start": pa.array([], type=pa.timestamp("us"))}
+            sch = ds.schema()
+            types = dict(zip(sch.names, sch.types)) if sch is not None else {}
+            fields = [(key, types.get(key, pa.null())),
+                      ("bucket_start", pa.timestamp("us"))]
             for c in sum_cols:
-                st = dict(zip(sch.names, sch.types))[f"sum(__s_{c})"]
-                cols[f"sum_{c}"] = pa.array([], type=st)
-            cols[count_name] = pa.array([], type=pa.int64())
-            return ray.data.from_arrow(pa.table(cols))
+                t = types.get(c, pa.int64())
+                fields.append((f"sum_{c}", pa.float64()
+                               if fill == "interp" or pa.types.is_floating(t)
+                               else pa.int64() if pa.types.is_integer(t)
+                               else t))
+            return ray.data.from_arrow(pa.schema(
+                fields + [(count_name, pa.int64())]).empty_table())
         bounds[0] = min(a for a, _ in mm)
         bounds[1] = max(b for _, b in mm)
     return (agg.groupby(key)

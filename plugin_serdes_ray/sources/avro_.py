@@ -18,13 +18,16 @@ from ..functions.errors import BadLineError, OnBadLines, handle_bad
 from ..util import package_runtime_env
 
 
-def validate_datum(schema: Any, v: Any, path: str = "$") -> Optional[str]:
+def validate_datum(schema: Any, v: Any, path: str = "$",
+                   named: Optional[dict] = None, ns: str = "") -> Optional[str]:
     """Recursive validation (AvroToIon.java:197-417). Returns an error
-    message or None."""
+    message or None; references resolve as in ``avroio.named_types``."""
+    named = avroio.named_types(schema) if named is None else named
+    schema, ns = avroio._deref(schema, ns, named)
     t = avroio._type_of(schema)
     if isinstance(t, list):
         for branch in t:
-            if validate_datum(branch, v, path) is None:
+            if validate_datum(branch, v, path, named, ns) is None:
                 return None
         return f"{path}: {v!r} matches no branch of union {t}"
     if t == "null":
@@ -38,7 +41,8 @@ def validate_datum(schema: Any, v: Any, path: str = "$") -> Optional[str]:
         if not isinstance(v, dict):
             return f"{path}: expected record, got {type(v).__name__}"
         for f in schema["fields"]:
-            err = validate_datum(f["type"], v.get(f["name"]), f"{path}.{f['name']}")
+            err = validate_datum(f["type"], v.get(f["name"]),
+                                 f"{path}.{f['name']}", named, ns)
             if err:
                 return err
         return None
@@ -46,7 +50,8 @@ def validate_datum(schema: Any, v: Any, path: str = "$") -> Optional[str]:
         if not isinstance(v, (list, tuple)):
             return f"{path}: expected array, got {type(v).__name__}"
         for i, item in enumerate(v):
-            err = validate_datum(schema["items"], item, f"{path}[{i}]")
+            err = validate_datum(schema["items"], item, f"{path}[{i}]",
+                                 named, ns)
             if err:
                 return err
         return None
@@ -54,11 +59,12 @@ def validate_datum(schema: Any, v: Any, path: str = "$") -> Optional[str]:
         if not isinstance(v, dict):
             return f"{path}: expected map, got {type(v).__name__}"
         for k, x in v.items():
-            err = validate_datum(schema["values"], x, f"{path}[{k!r}]")
+            err = validate_datum(schema["values"], x, f"{path}[{k!r}]",
+                                 named, ns)
             if err:
                 return err
         return None
-    if not avroio._accepts(schema, v, {}):
+    if not avroio._accepts(schema, v, named, ns):
         return f"{path}: {v!r} is not a valid {t}"
     return None
 
@@ -68,8 +74,9 @@ def read_avro_records(data: bytes, on_bad_lines: str = "ERROR",
     schema, records = avroio.read_container(data)
     if validate:
         kept = []
+        named = avroio.named_types(schema)
         for i, r in enumerate(records):
-            err = validate_datum(schema, r)
+            err = validate_datum(schema, r, named=named)
             if err is None:
                 kept.append(r)
             else:

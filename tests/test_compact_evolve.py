@@ -620,3 +620,105 @@ def test_randomized_compaction_roundtrip(ray_session, tmp_path):
         s2 = compact_parts(src, dst, target_part_bytes=target, concurrency=2)
         assert s2["skipped_parts"] == s1["parts"], (seed, target)
         assert verify_container(dst, deep=True)["ok"], (seed, target)
+
+
+# ---------------------------------------------------------------------------
+# packed task stages: a few Ray tasks per CPU, same bytes as one per item
+# ---------------------------------------------------------------------------
+
+
+def _numpy_row(item: dict) -> dict:
+    import numpy as np
+
+    return {k: np.asarray([v]) for k, v in item.items()}
+
+
+def _part_bytes(d: str) -> dict:
+    return {f: open(os.path.join(d, f), "rb").read()
+            for f in sorted(os.listdir(d)) if f.endswith(".grck")}
+
+
+def _entries(d: str) -> dict:
+    from plugin_serdes_ray.state.checkpoint import read_manifest_entries
+
+    return {i: {k: v for k, v in e.items() if k != "secs"}
+            for i, e in read_manifest_entries(d).items()}
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("wp_small"))
+    return generate_webpages(out, 270, 9)
+
+
+def test_packed_stages_match_in_process(ray_session, small_files, tmp_path):
+    """Packed encode, compaction and verify write the bytes, manifest
+    entries and report that running each item's task function in process
+    gives, from at most 4 x concurrency tasks."""
+    from plugin_serdes_ray.encode import (
+        _run_task_stage, compact_bin_batch, encode_shard_batch,
+        plan_partitions, scrub_part_batch, verify_container)
+    from plugin_serdes_ray.state import checkpoint
+
+    def sizes(batch):
+        import numpy as np
+
+        return {"n": np.asarray([len(batch["i"])])}
+
+    # one row per task: runs of at most ceil(n / (4 x concurrency)) items,
+    # at most 4 x concurrency tasks
+    for n, c, runs in [(64, 1, [16] * 4), (3, 4, [1] * 3),
+                       (10, 1, [3, 3, 2, 2]), (9, 2, [2] + [1] * 7)]:
+        rows = _run_task_stage([{"i": i} for i in range(n)], sizes, {}, c,
+                               "numpy")
+        assert sorted((r["n"] for r in rows), reverse=True) == runs, (n, c)
+
+    out = str(tmp_path / "enc")
+    encode_files(small_files, out, concurrency=1)
+    plan = checkpoint.read_plan(out)
+    ref = str(tmp_path / "ref")
+    checkpoint.ensure_dirs(ref)
+    for p in plan_partitions(sorted(small_files)):
+        encode_shard_batch(_numpy_row(p), plan=plan, out_dir=ref)
+    assert len(_part_bytes(out)) == 9
+    assert _part_bytes(out) == _part_bytes(ref)
+    assert _entries(out) == _entries(ref)
+
+    # resume re-encodes exactly the parts whose file and entry are gone
+    gone = ["part-00001.grck", "part-00004.grck", "part-00007.grck"]
+    stamps = {f: os.stat(os.path.join(out, f)).st_mtime_ns
+              for f in _part_bytes(out) if f not in gone}
+    for f in gone:
+        os.remove(os.path.join(out, f))
+        os.remove(checkpoint.entry_path(out, int(f[5:10])))
+    assert encode_files(small_files, out, concurrency=1)["skipped_parts"] == 6
+    assert _part_bytes(out) == _part_bytes(ref)
+    assert {f: os.stat(os.path.join(out, f)).st_mtime_ns
+            for f in stamps} == stamps
+
+    # decode stays one block per part
+    assert len(decode_dataset(out).to_arrow_refs()) == 9
+
+    # compaction: bins of ~3 parts, packed vs in process
+    target = sum(len(b) for b in _part_bytes(out).values()) // 3
+    dst = str(tmp_path / "compact")
+    compact_parts(out, dst, target_part_bytes=target, concurrency=1)
+    bins = plan_compaction_bins(out, target)
+    assert len(bins) > 1
+    ref_dst = str(tmp_path / "compact_ref")
+    checkpoint.ensure_dirs(ref_dst)
+    src_raw = {e["file"]: e.get("raw_bytes")
+               for e in checkpoint.read_manifest_entries(out).values()}
+    for b in bins:
+        compact_bin_batch(_numpy_row(b), plan=plan, src_dir=out,
+                          dst_dir=ref_dst, src_raw_bytes=src_raw)
+    assert _part_bytes(dst) == _part_bytes(ref_dst)
+    assert _entries(dst) == _entries(ref_dst)
+
+    # verify: the packed report is the per-part report, row for row
+    rep = verify_container(out, deep=True, concurrency=1)
+    assert rep["ok"]
+    ref_rep = pa.concat_tables(
+        scrub_part_batch(pa.table({"path": [os.path.join(out, f)]}),
+                         deep=True) for f in _part_bytes(out))
+    assert rep["parts"].sort_by("file").to_pylist() == ref_rep.to_pylist()

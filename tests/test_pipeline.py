@@ -323,10 +323,16 @@ def test_container_bloom_two_letter_codes():
 
 def test_all_miss_predicate_keeps_schema(ray_session, tmp_path):
     """Kept parts that match no row still emit a zero-row block with the
-    requested schema, so an all-miss read has a schema and counts 0."""
+    requested schema, so an all-miss read has a schema and counts 0. A
+    read whose predicate prunes every part takes that schema from one
+    part's header, with no payload decoded (the parts are cut to their
+    headers to prove it); a directory with no parts, or whose parts have
+    no readable header, still reads as empty."""
     import pyarrow.parquet as pq
 
-    from plugin_serdes_ray.encode import decode_dataset, encode_files
+    from plugin_serdes_ray.container import read_header
+    from plugin_serdes_ray.encode import (decode_dataset, encode_files,
+                                          explain_pruning)
 
     paths = []
     for i in range(2):
@@ -345,6 +351,26 @@ def test_all_miss_predicate_keeps_schema(ray_session, tmp_path):
     ds = decode_dataset(out, target_schema=target,
                         predicate=("z", "==", "q"))
     assert ds.schema().names == ["k", "z"] and ds.count() == 0
+    miss = ("k", "==", 99)      # outside every part's zone map
+    assert not any(explain_pruning(out, miss).column("kept").to_pylist())
+    parts = [os.path.join(out, f) for f in os.listdir(out)
+             if f.endswith(".grck")]
+    for p in parts:
+        head = open(p, "rb").read()[:read_header(p)["_data_start"]]
+        open(p, "wb").write(head)
+    ds = decode_dataset(out, columns=["s"], predicate=miss)
+    assert ds.schema().names == ["s"] and ds.count() == 0
+    ds = decode_dataset(out, predicate=miss, dictionary_columns=["s"])
+    assert ds.schema().names == ["k", "s"] and ds.count() == 0
+    assert pa.types.is_dictionary(ds.schema().base_schema.field("s").type)
+    ds = decode_dataset(out, target_schema=target, predicate=miss)
+    assert ds.schema().base_schema == target and ds.count() == 0
+    for p in parts:
+        open(p, "wb").write(b"garbage")
+    assert decode_dataset(out, predicate=miss).count() == 0
+    empty = tmp_path / "no_parts"
+    empty.mkdir()
+    assert decode_dataset(str(empty)).count() == 0
 
 
 def test_zone_map_temporal_units(ray_session, tmp_path):

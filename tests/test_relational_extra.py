@@ -1743,9 +1743,10 @@ def test_resample_timeseries_fill_modes(ray_session):
                       type=pa.float64())})
     ds = ray.data.from_arrow(t).repartition(3)
 
-    def run(fill):
+    def run(fill, align="per_key"):
         out = resample_timeseries(ds, "k", "ts", every="15m",
-                                  sum_cols=["v"], fill=fill).take_all()
+                                  sum_cols=["v"], fill=fill,
+                                  align=align).take_all()
         return {(r["k"], r["bucket_start"]): (r["sum_v"], r["n"])
                 for r in out}
 
@@ -1760,6 +1761,16 @@ def test_resample_timeseries_fill_modes(ray_session):
     # gaps AND the all-null active bucket carry the last non-null sum
     assert ff[("a", mk(15))] == (3.0, 0)
     assert ff[("a", mk(45))] == (3.0, 2)
+    assert len(run("null", align="global")) == 8
+    # no row survives (null keys only) under a global grid: zero rows,
+    # still the schema (the aggregate itself has none)
+    empty = resample_timeseries(ray.data.from_arrow(t.slice(5, 1)), "k",
+                                "ts", sum_cols=["v"], fill="interp",
+                                align="global")
+    assert empty.count() == 0
+    assert empty.schema().base_schema == pa.schema([
+        ("k", pa.string()), ("bucket_start", pa.timestamp("us")),
+        ("sum_v", pa.float64()), ("n", pa.int64())])
 
     # integer sums keep an integer dtype through the dense grid
     t2 = pa.table({"k": ["x", "x"],

@@ -418,6 +418,18 @@ def test_validate_avsc_standalone():
         # recursive named reference
         '{"type":"record","name":"Node","fields":'
         '[{"name":"next","type":["null","Node"]}]}',
+        # namespaces (names by fullname): a fullname reference, one short
+        # name in two namespaces, a namespace inherited by a nested type
+        '{"type":"record","name":"O","fields":[{"name":"a","type":'
+        '{"type":"record","name":"R","namespace":"com.x","fields":[]}},'
+        '{"name":"b","type":"com.x.R"}]}',
+        '{"type":"record","name":"O","fields":[{"name":"a","type":'
+        '{"type":"record","name":"R","namespace":"com.x","fields":[]}},'
+        '{"name":"b","type":["null",{"type":"record","name":"R",'
+        '"namespace":"com.y","fields":[]}]}]}',
+        '{"type":"record","name":"O","namespace":"n","fields":[{"name":"a",'
+        '"type":{"type":"enum","name":"E","symbols":["X"]}},'
+        '{"name":"b","type":"n.E"},{"name":"c","type":"E"}]}',
     ]
     for s in ok:
         assert validate_avsc(s) == [], s
@@ -436,6 +448,15 @@ def test_validate_avsc_standalone():
         '{"type":"map"}',
         '{"type":"record","name":"R","fields":'
         '[{"name":"x","type":"Undefined"}]}',
+        # a true redefinition (by full name), and a short name that does
+        # not reach into another namespace
+        '{"type":"record","name":"O","fields":[{"name":"a","type":'
+        '{"type":"record","name":"R","namespace":"com.x","fields":[]}},'
+        '{"name":"b","type":{"type":"record","name":"com.x.R",'
+        '"fields":[]}}]}',
+        '{"type":"record","name":"O","namespace":"n","fields":[{"name":"a",'
+        '"type":{"type":"record","name":"R","namespace":"m","fields":[]}},'
+        '{"name":"b","type":"R"}]}',
     ]
     for s in bad:
         errs = validate_avsc(s)
@@ -448,6 +469,41 @@ def test_validate_avsc_standalone():
     with pytest.raises(ValueError, match="invalid avro schema"):
         table_to_avro_bytes(pa.table({"a": [1]}),
                             '{"type":"record","name":"R"}')
+
+
+def test_avro_namespaced_names_roundtrip():
+    """The writer, the reader and the record validator resolve named types
+    by fullname, as validate_avsc does, so every namespaced schema it
+    accepts round-trips: a fullname reference, one short name in two
+    namespaces (a short reference resolves in its enclosing namespace),
+    and a namespace inherited by a nested enum."""
+    rx = {"type": "record", "name": "R", "namespace": "com.x",
+          "fields": [{"name": "x", "type": "int"}]}
+    ry = {"type": "record", "name": "R", "namespace": "com.y",
+          "fields": [{"name": "y", "type": "string"}]}
+    cases = [
+        ({"type": "record", "name": "O", "fields": [
+            {"name": "a", "type": rx}, {"name": "b", "type": "com.x.R"}]},
+         {"a": {"x": 1}, "b": {"x": 2}}),
+        ({"type": "record", "name": "O", "fields": [
+            {"name": "a", "type": rx},
+            {"name": "b", "type": ["null", ry]},
+            {"name": "c", "type": {"type": "record", "name": "P",
+                                   "namespace": "com.y",
+                                   "fields": [{"name": "r", "type": "R"}]}},
+            {"name": "d", "type": "com.x.R"}]},
+         {"a": {"x": 1}, "b": {"y": "s"}, "c": {"r": {"y": "t"}},
+          "d": {"x": 3}}),
+        ({"type": "record", "name": "O", "namespace": "n", "fields": [
+            {"name": "a", "type": {"type": "enum", "name": "E",
+                                   "symbols": ["X", "Y"]}},
+            {"name": "b", "type": "n.E"}, {"name": "c", "type": "E"}]},
+         {"a": "X", "b": "Y", "c": "X"}),
+    ]
+    for schema, rec in cases:
+        assert avroio.validate_avsc(json.dumps(schema)) == [], schema
+        _, got = read_avro_records(avroio.write_container([rec, rec], schema))
+        assert got == [rec, rec], schema
 
 
 def test_json_annotation_preservation_roundtrip():
