@@ -405,27 +405,23 @@ def _dedup_oracle_corpus(sf_dir: str, n_injected: int = 5,
 
 def _dedup_minhash(sf_dir: str):
     """All four dedup-filter paths in one union-tagged row set: exact
-    dedup keeps min(doc_id) per text group on the raw table; both
-    near-dup filter paths — the driver-side union-find AND the fully
-    distributed one (pairs -> connected components -> bloom-prefiltered
-    anti join) — must drop exactly the injected near-dups (ids >= 1e6)
-    and keep every base id of the controlled corpus; 'incremental' splits
-    the table by doc_id parity (even = already-ingested corpus, odd = the
-    new shard) and keeps the odd rows that are first-per-text within the
-    shard AND unseen on the even side (dedup.exact_dedup_incremental —
-    seen side reduces map-only to hashes, bloom + exact anti join)."""
+    dedup keeps min(doc_id) per text group on the raw table; the
+    'distributed' near-dup filter (pairs -> connected components ->
+    bloom-prefiltered anti join) must drop exactly the injected near-dups
+    (ids >= 1e6) and keep every base id of the controlled corpus;
+    'incremental' splits the table by doc_id parity (even =
+    already-ingested corpus, odd = the new shard) and keeps the odd rows
+    that are first-per-text within the shard AND unseen on the even side
+    (dedup.exact_dedup_incremental — seen side reduces map-only to
+    hashes, bloom + exact anti join)."""
     import pyarrow.compute as pc
 
     from plugin_serdes_ray.pipelines.dedup import (
-        exact_dedup, exact_dedup_incremental, minhash_lsh_dedup,
-        minhash_lsh_dedup_distributed)
+        exact_dedup, exact_dedup_incremental, minhash_lsh_dedup)
 
     corpus = _dedup_oracle_corpus(sf_dir)
-    rows = []
-    for method, fn in (("driver", minhash_lsh_dedup),
-                       ("distributed", minhash_lsh_dedup_distributed)):
-        out = fn(corpus, "text", "doc_id")
-        rows += [(method, r["doc_id"]) for r in out.take_all()]
+    rows = [("distributed", r["doc_id"]) for r in
+            minhash_lsh_dedup(corpus, "text", "doc_id").take_all()]
     docs = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
     exact = exact_dedup(docs, "text", "doc_id")
     rows += [("exact", r["doc_id"]) for r in exact.take_all()]
@@ -494,13 +490,15 @@ def _simhash_pairs(sf_dir: str) -> list:
 
 
 def _jaccard_exact_pairs(sf_dir: str) -> pa.Table:
-    """Shared exact-Jaccard arm (LSH candidates -> semi-join -> exact),
-    sorted; see _simhash_pairs for why it is shared."""
+    """Shared exact-Jaccard arm (LSH candidates -> bloom-picked texts ->
+    exact Jaccard), sorted; see _simhash_pairs for why it is shared."""
     from plugin_serdes_ray.pipelines.dedup import minhash_lsh_duplicates_exact
 
-    return minhash_lsh_duplicates_exact(
-        _dedup_oracle_corpus(sf_dir), "text", "doc_id") \
-        .sort_by([("keep_id", "ascending"), ("dup_id", "ascending")])
+    pairs = minhash_lsh_duplicates_exact(
+        _dedup_oracle_corpus(sf_dir), "text", "doc_id").take_all()
+    schema = pa.schema([("keep_id", pa.int64()), ("dup_id", pa.int64())])
+    return pa.Table.from_pylist(pairs, schema=schema).sort_by(
+        [("keep_id", "ascending"), ("dup_id", "ascending")])
 
 
 def _dedup_simhash(sf_dir: str):
@@ -589,7 +587,7 @@ def _dedup_near_sim(sf_dir: str):
     fingerprint, and SemDeDup near-dup paths union-tagged into one row
     set: each controlled-positive corpus must yield exactly its 5
     injected pairs and nothing else (the jaccard arm is LSH candidates ->
-    semi-join back to text -> exact Jaccard,
+    bloom-picked candidate texts -> exact Jaccard,
     dedup.minhash_lsh_duplicates_exact; the fingerprint arm is the
     _fingerprints contract — equal texts MUST fingerprint equal,
     candidates verified by a bounded text semi-join).  The 'semdedup' arm
@@ -680,8 +678,9 @@ def _dedup_clusters(sf_dir: str):
 
 
 def _dedup_jaccard_exact(sf_dir: str):
-    """Exact n-gram-Jaccard near-dup path (LSH candidates -> semi-join back
-    to text -> exact Jaccard): must find exactly the injected pairs."""
+    """Exact n-gram-Jaccard near-dup path (LSH candidates -> bloom-picked
+    candidate texts -> exact Jaccard): must find exactly the injected
+    pairs."""
     return _jaccard_exact_pairs(sf_dir)
 
 
@@ -4333,8 +4332,6 @@ def oracle_sql() -> dict[str, str]:
         # controlled-corpus near-dup oracles: the operator must drop exactly
         # the injected ids (>= 1e6) and keep every base documents id
         "dedup_minhash_documents": """
-            SELECT 'driver' AS method, doc_id FROM documents
-            UNION ALL
             SELECT 'distributed' AS method, doc_id FROM documents
             UNION ALL
             SELECT 'exact' AS method, min(doc_id) AS doc_id

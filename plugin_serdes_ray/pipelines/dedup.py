@@ -458,9 +458,9 @@ def minhash_lsh_duplicates(ds, column: str, id_column: str,
     ``num_perm``×8 bytes (512 B at defaults) regardless of document size, so
     the shuffle volume is ``bands × 512 B`` per document, not ``bands ×
     len(text)``. Verification uses the unbiased MinHash Jaccard estimate
-    (callers needing exact Jaccard can semi-join the tiny pair set back to
-    the text). Pairs may repeat across bands/buckets; union-find collapses
-    them.
+    (:func:`minhash_lsh_duplicates_exact` verifies exact Jaccard on the
+    candidate texts). Pairs may repeat across bands/buckets;
+    :func:`_distinct_pairs` or connected components collapse them.
     """
     empty = pa.table({"keep_id": pa.array([], type=pa.int64()),
                       "dup_id": pa.array([], type=pa.int64())})
@@ -517,190 +517,115 @@ def minhash_lsh_duplicates(ds, column: str, id_column: str,
     )
 
 
+def _distinct_pairs(pairs):
+    """One row per distinct ``(keep_id, dup_id)``: a pair found in several
+    band/bucket groups collapses in one keyed shuffle of the pair set."""
+    return pairs.groupby(["keep_id", "dup_id"]).map_groups(
+        lambda g: g.slice(0, 1), batch_format="pyarrow",
+        runtime_env=package_runtime_env())
+
+
 def minhash_lsh_duplicates_exact(ds, column: str, id_column: str,
                                  num_perm: int = 64, bands: int = 16,
                                  threshold: float = 0.7, k: int = 5,
-                                 candidate_slack: float = 0.1,
-                                 distributed: Optional[bool] = None):
-    """MinHash LSH candidates verified by EXACT n-gram Jaccard — the
-    scale-correct exact path:
+                                 candidate_slack: float = 0.1):
+    """-> lazy Dataset of distinct ``(keep_id, dup_id)`` pairs whose EXACT
+    character-shingle Jaccard is >= ``threshold``.
 
-    1. the signature-only LSH emits candidate pairs at a slackened
-       estimated threshold (catching estimator noise around the cut);
-    2. only the candidate ids' texts move (``is_in`` filter — bounded by
-       O(candidates), never a full-corpus move);
+    Filter, then verify — the split of "Highly Efficient String Similarity
+    Search and Join over Compressed Indexes" (ICDE'22): a compact index
+    proposes candidates, and only candidate strings are fetched to verify.
+
+    1. the signature-only LSH (:func:`minhash_lsh_duplicates`) emits
+       candidate pairs at a slackened estimated threshold (catching
+       estimator noise around the cut), made distinct by one keyed
+       shuffle;
+    2. each candidate's text meets its pairs in :func:`_verify_pairs` —
+       a Bloom probe of the candidate ids picks the texts map-side, so
+       only candidate texts (and Bloom false positives) shuffle;
     3. exact shingle Jaccard decides at the true threshold.
 
-    Verification placement: with few pairs the texts are fetched to the
-    driver and checked inline; above ``_DRIVER_VERIFY_MAX_PAIRS`` (or with
-    ``distributed=True``) the driver holds ONLY the id->pair mapping and
-    verification runs as a distributed pair-join — each candidate text is
-    broadcast-expanded to its (pair, side) rows and ONE groupby(pair)
-    shuffle co-locates the two texts of each pair, so driver memory is
-    O(pairs), not O(pair texts), and the Jaccard compute parallelizes.
-
-    Returns a pa.Table of (keep_id, dup_id) distinct pairs."""
+    Driver state: one Bloom bitmap of the candidate ids (1 MiB); pairs
+    and texts stay in the object store."""
     est_threshold = max(threshold - candidate_slack, 0.0)
     cand = minhash_lsh_duplicates(ds, column, id_column, num_perm=num_perm,
                                   bands=bands, threshold=est_threshold, k=k)
-    pairs = sorted({(r["keep_id"], r["dup_id"]) for r in cand.take_all()})
-    if not pairs:
-        return pa.table({"keep_id": pa.array([], type=pa.int64()),
-                         "dup_id": pa.array([], type=pa.int64())})
-    if distributed is None:
-        distributed = len(pairs) > _DRIVER_VERIFY_MAX_PAIRS
-    if distributed:
-        return _verify_pairs_distributed(ds, column, id_column, pairs,
-                                         threshold, k)
-    wanted = sorted({i for p in pairs for i in p})
-    id_set = pa.array(wanted, type=pa.int64())
-
-    def keep_candidates(batch: pa.Table) -> pa.Table:
-        m = pc.is_in(batch.column(id_column), value_set=id_set)
-        return batch.filter(pc.fill_null(m, False)).select(
-            [id_column, column])
-
-    rows = ds.map_batches(keep_candidates, batch_format="pyarrow",
-                          runtime_env=package_runtime_env()).take_all()
-    texts = {r[id_column]: r[column] for r in rows}
-    keep, dup = [], []
-    for a, b in pairs:
-        ta, tb = texts.get(a), texts.get(b)
-        if ta is None or tb is None:
-            continue
-        if jaccard(ta, tb, k) >= threshold:
-            keep.append(a)
-            dup.append(b)
-    return pa.table({"keep_id": pa.array(keep, type=pa.int64()),
-                     "dup_id": pa.array(dup, type=pa.int64())})
+    return _verify_pairs(ds, column, id_column, _distinct_pairs(cand),
+                         threshold, k)
 
 
-_DRIVER_VERIFY_MAX_PAIRS = 10_000
+def _verify_pairs(ds, column: str, id_column: str, pairs,
+                  threshold: float, k: int):
+    """Exact-Jaccard verify of a distinct ``(keep_id, dup_id)`` pair
+    Dataset against ``ds``'s texts, all on Datasets.
 
-
-def _verify_pairs_distributed(ds, column: str, id_column: str,
-                              pairs: list, threshold: float, k: int):
-    """Distributed exact-Jaccard pair verification (see
-    minhash_lsh_duplicates_exact). Driver state: the id -> [(pair, side)]
-    mapping only (O(pairs) ints; texts never land on the driver)."""
+    Each pair becomes two side rows ``(__id, keep_id, dup_id)``, one per
+    endpoint (materialized once: fixed-width, O(candidates)). A Bloom
+    bitmap of their ids picks the candidate texts map-side, the side rows
+    meet those texts in :func:`~.relational.hash_join`, and a
+    ``groupby(["keep_id", "dup_id"])`` puts each pair's two texts in one
+    group. A pair whose text is missing or null, or whose id occurs twice
+    in ``ds``, does not have exactly its two endpoint rows and drops."""
     import ray
 
-    mapping: dict = {}
-    for i, (a, b) in enumerate(pairs):
-        mapping.setdefault(a, []).append((i, 0))
-        mapping.setdefault(b, []).append((i, 1))
-    map_ref = ray.put(mapping)
+    from .relational import bloom_probe_hits, build_key_bloom, hash_join
+
     env = package_runtime_env()
+    i64 = pa.int64()
 
-    def expand(batch: pa.Table) -> pa.Table:
-        m = ray.get(map_ref)
-        ids = batch.column(id_column).to_pylist()
-        txts = batch.column(column).to_pylist()
-        o_pair, o_side, o_id, o_txt = [], [], [], []
-        for id_, txt in zip(ids, txts):
-            for pi, side in m.get(id_, ()):
-                o_pair.append(pi)
-                o_side.append(side)
-                o_id.append(id_)
-                o_txt.append(txt)
-        return pa.table({
-            "__pair": pa.array(o_pair, type=pa.int64()),
-            "__side": pa.array(o_side, type=pa.int8()),
-            "__id": pa.array(o_id, type=pa.int64()),
-            "__text": pa.array(o_txt, type=pa.large_string()),
-        })
+    def side_rows(batch: pa.Table) -> pa.Table:
+        keep = batch.column("keep_id").combine_chunks().cast(i64)
+        dup = batch.column("dup_id").combine_chunks().cast(i64)
+        return pa.table({"__id": pa.concat_arrays([keep, dup]),
+                         "keep_id": pa.concat_arrays([keep, keep]),
+                         "dup_id": pa.concat_arrays([dup, dup])})
 
-    empty = pa.table({"keep_id": pa.array([], type=pa.int64()),
-                      "dup_id": pa.array([], type=pa.int64())})
+    sides = pairs.map_batches(side_rows, batch_format="pyarrow",
+                              runtime_env=env).materialize()
+    words_ref = build_key_bloom(sides, ["__id"], out_keys=["__id"],
+                                out_types={"__id": i64}, num_hashes=4)
+
+    def candidate_texts(batch: pa.Table) -> pa.Table:
+        t = batch.filter(pa.array(bloom_probe_hits(
+            batch, [id_column], ray.get(words_ref), 4)))
+        return pa.table({"__id": t.column(id_column).cast(i64),
+                         "__text": t.column(column)})
+
+    texts = ds.map_batches(candidate_texts, batch_format="pyarrow",
+                           runtime_env=env)
+    empty = pa.table({"keep_id": pa.array([], type=i64),
+                      "dup_id": pa.array([], type=i64)})
 
     def check(group: pa.Table) -> pa.Table:
-        if group.num_rows != 2:   # a missing/null text drops the pair
-            return empty
-        side = group.column("__side").to_pylist()
+        pair = group.select(["keep_id", "dup_id"]).slice(0, 1)
+        keep, dup = pair.column(0)[0].as_py(), pair.column(1)[0].as_py()
         ids = group.column("__id").to_pylist()
         txts = group.column("__text").to_pylist()
-        # guard BEFORE side.index(0): a 2-row group with sides [1, 1]
-        # (duplicate doc id, missing counterpart) must drop, not raise
-        if 0 not in side or 1 not in side:
+        if sorted(ids) != sorted((keep, dup)) or None in txts:
             return empty
-        a = side.index(0)
-        b = 1 - a
-        if txts[a] is None or txts[b] is None:
-            return empty
-        if jaccard(txts[a], txts[b], k) >= threshold:
-            return pa.table({"keep_id": pa.array([ids[a]], type=pa.int64()),
-                             "dup_id": pa.array([ids[b]], type=pa.int64())})
-        return empty
+        return pair if jaccard(txts[0], txts[1], k) >= threshold else empty
 
-    expanded = ds.map_batches(expand, batch_format="pyarrow", runtime_env=env)
-    out = (expanded.groupby("__pair")
-           .map_groups(check, batch_format="pyarrow", runtime_env=env)
-           .take_all())   # O(verified pairs), never the corpus
-    out.sort(key=lambda r: (r["keep_id"], r["dup_id"]))
-    return pa.table({
-        "keep_id": pa.array([r["keep_id"] for r in out], type=pa.int64()),
-        "dup_id": pa.array([r["dup_id"] for r in out], type=pa.int64()),
-    })
-
-
-def union_find_clusters(pairs: list[tuple[int, int]]) -> dict[int, int]:
-    """Driver-side union-find over (a, b) duplicate pairs -> {id: root}.
-    Roots are the smallest id of each transitive cluster, so chains
-    (a~b, b~c) collapse to one keeper even when (a, c) never met in a
-    bucket. Pairs are O(duplicates) — tiny relative to the corpus."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-    return {x: find(x) for x in parent}
+    return (hash_join(sides, texts, "__id")
+            .groupby(["keep_id", "dup_id"])
+            .map_groups(check, batch_format="pyarrow", runtime_env=env))
 
 
 def minhash_lsh_dedup(ds, column: str, id_column: str, **kw):
     """Drop near-duplicate rows: every member of a transitive duplicate
-    cluster except the smallest id. The verified pair set is collected to
-    the driver (it is O(duplicates), small by assumption), union-found into
-    clusters, and broadcast as a filter — ds itself streams."""
-    import ray
+    cluster except the smallest id.
 
-    pairs = minhash_lsh_duplicates(ds, column, id_column, **kw)
-    roots = union_find_clusters(
-        [(row["keep_id"], row["dup_id"]) for row in pairs.take_all()])
-    dup_arr = pa.array(sorted(x for x, r in roots.items() if x != r),
-                       type=pa.int64())
-    dup_ref = ray.put(dup_arr)
-
-    def drop(batch: pa.Table) -> pa.Table:
-        dups = ray.get(dup_ref)
-        keep = pc.invert(pc.is_in(batch.column(id_column), value_set=dups))
-        return batch.filter(pc.fill_null(keep, True))
-
-    return ds.map_batches(drop, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
-
-
-def minhash_lsh_dedup_distributed(ds, column: str, id_column: str, *,
-                                  bloom_bits: int = 1 << 23, **kw):
-    """Scale path of :func:`minhash_lsh_dedup`: the duplicate-pair graph
-    never touches the driver. Pairs stream into distributed connected
-    components (``graph.connected_components`` — hash-min label
-    propagation, one keyed shuffle of fixed-width messages per round), the
-    non-canonical members (``v != component``) become the drop set, and
-    the corpus is filtered with a Bloom-prefiltered distributed ANTI join
-    (``relational.bloom_semi_join``) so the keyed shuffle only ever sees
-    rows whose id *hits* the drop-set bitmap — on a mostly-unique corpus
-    that is a sliver. Driver state: convergence scalars only. Same result
-    as the driver-side path (asserted in tests); pick this one when the
-    pair set itself is too big for one machine. Size ``bloom_bits`` (a
-    power of two) to the expected duplicate count."""
+    The verified pairs (:func:`minhash_lsh_duplicates`, ``**kw``) stream
+    into distributed connected components (``graph.connected_components``
+    — hash-min label propagation, one keyed shuffle of fixed-width
+    messages per round), so chains (a~b, b~c) collapse to one keeper even
+    when a and c never share a bucket. The non-canonical members
+    (``v != component``) become the drop set, and the corpus is filtered
+    with a Bloom-prefiltered distributed ANTI join
+    (``relational.bloom_semi_join``): the keyed shuffle only sees rows
+    whose id hits the drop-set bitmap — on a mostly-unique corpus that is
+    a sliver. Driver state: the convergence scalars of the components
+    loop and one Bloom bitmap (1 MiB); the pair graph never reaches the
+    driver."""
     from .graph import connected_components
     from .relational import bloom_semi_join
 
@@ -714,8 +639,7 @@ def minhash_lsh_dedup_distributed(ds, column: str, id_column: str, *,
 
     drops = comp.map_batches(non_canonical, batch_format="pyarrow",
                              runtime_env=package_runtime_env())
-    return bloom_semi_join(ds, drops, id_column, anti=True,
-                           bits=bloom_bits)
+    return bloom_semi_join(ds, drops, id_column, anti=True)
 
 
 # ---------------------------------------------------------------------------
@@ -828,10 +752,7 @@ def hash64_duplicates(ds, hash_column: str, id_column: str,
     pairs = (ds.map_batches(sigs, batch_format="pyarrow", runtime_env=env)
              .groupby("band_key").map_groups(verify, batch_format="pyarrow",
                                              runtime_env=env))
-    if not distinct:
-        return pairs
-    return pairs.groupby(["keep_id", "dup_id"]).map_groups(
-        lambda g: g.slice(0, 1), batch_format="pyarrow", runtime_env=env)
+    return _distinct_pairs(pairs) if distinct else pairs
 
 
 def simhash_duplicates(ds, column: str, id_column: str,
@@ -952,16 +873,11 @@ def embedding_duplicates(ds, vector_column: str, id_column: str,
         return pa.table({"keep_id": pa.array(keep, type=pa.int64()),
                          "dup_id": pa.array(dup, type=pa.int64())})
 
-    def distinct(group: pa.Table) -> pa.Table:
-        return group.slice(0, 1)
-
-    return (ds.map_batches(sigs, batch_format="pyarrow",
-                           runtime_env=package_runtime_env())
-            .groupby("bucket").map_groups(verify, batch_format="pyarrow",
-                                          runtime_env=package_runtime_env())
-            .groupby(["keep_id", "dup_id"])
-            .map_groups(distinct, batch_format="pyarrow",
-                        runtime_env=package_runtime_env()))
+    return _distinct_pairs(
+        ds.map_batches(sigs, batch_format="pyarrow",
+                       runtime_env=package_runtime_env())
+        .groupby("bucket").map_groups(verify, batch_format="pyarrow",
+                                      runtime_env=package_runtime_env()))
 
 
 # ---------------------------------------------------------------------------
@@ -1200,6 +1116,34 @@ def _span_gram_hash_positions(text: str, gram: int, stride: int):
     return h, np.arange(len(h), dtype=np.int64) * stride
 
 
+def _dup_gram_hashes(occ, max_gram_occurrences: Optional[int] = None):
+    """-> materialized ``__h`` rows (O(duplicated grams), fixed width) of
+    the grams that occur in >= 2 distinct documents, and in at most
+    ``max_gram_occurrences`` when that is set.
+
+    ``occ`` carries ``(__h, <id>, pos, __first)`` occurrence rows, where
+    ``__first`` marks a document's first occurrence of each hash — set
+    where the whole document is seen. The distinct-document count is then
+    a plain row count of the flagged rows (a native keyed count, combined
+    map-side), and holds however the rows are split into blocks."""
+    env = package_runtime_env()
+
+    def firsts(batch: pa.Table) -> pa.Table:
+        return batch.filter(batch.column("__first")).select(["__h"])
+
+    def only_dups(batch: pa.Table) -> pa.Table:
+        n = batch.column("count()")
+        keep = pc.greater(n, 1)
+        if max_gram_occurrences is not None:
+            keep = pc.and_(keep, pc.less_equal(n, max_gram_occurrences))
+        return batch.filter(keep).select(["__h"])
+
+    return (occ.map_batches(firsts, batch_format="pyarrow", runtime_env=env)
+            .groupby("__h").count()
+            .map_batches(only_dups, batch_format="pyarrow", runtime_env=env)
+            .materialize())
+
+
 def remove_duplicate_spans(ds, column: str = "text",
                            id_column: str = "doc_id", *, gram: int = 20,
                            stride: int = 10, bloom_bits: int = 1 << 23,
@@ -1251,9 +1195,8 @@ def remove_duplicate_spans(ds, column: str = "text",
     is a line/template phenomenon and that operator drops it wholesale
     for a fraction of the shuffle; this one is for long-tail copied
     passages. Distinct-DOC counts bound occurrence counts from below,
-    so the cap is applied to the same Sum output that detects dups."""
+    so the cap is applied to the same count that detects dups."""
     import ray
-    from ray.data.aggregate import Sum
 
     from .relational import (bloom_probe_hits, bloom_semi_join,
                              build_key_bloom, hash_join)
@@ -1273,7 +1216,7 @@ def remove_duplicate_spans(ds, column: str = "text",
     def occ_rows(batch: pa.Table) -> pa.Table:
         texts = batch.column(column).to_pylist()
         ids = batch.column(id_column).combine_chunks()
-        hs, ps, out_ids = [], [], []
+        hs, ps, out_ids, firsts = [], [], [], []
         for i, t in enumerate(texts):
             if not t:
                 continue
@@ -1283,40 +1226,22 @@ def remove_duplicate_spans(ds, column: str = "text",
                 ps.append(p)
                 out_ids.append(np.full(len(h), ids[i].as_py(),
                                        dtype=np.int64))
+                first = np.zeros(len(h), dtype=bool)
+                first[np.unique(h, return_index=True)[1]] = True
+                firsts.append(first)
         if not hs:
             return pa.table({"__h": pa.array([], type=pa.int64()),
                              id_column: pa.array([], type=pa.int64()),
-                             "pos": pa.array([], type=pa.int64())})
+                             "pos": pa.array([], type=pa.int64()),
+                             "__first": pa.array([], type=pa.bool_())})
         return pa.table({"__h": pa.array(
             np.concatenate(hs).view(np.int64)),
             id_column: pa.array(np.concatenate(out_ids)),
-            "pos": pa.array(np.concatenate(ps))})
+            "pos": pa.array(np.concatenate(ps)),
+            "__first": pa.array(np.concatenate(firsts))})
 
     occ = ds.map_batches(occ_rows, batch_format="pyarrow", runtime_env=env)
-
-    def cnt_partial(batch: pa.Table) -> pa.Table:
-        # distinct (hash, doc) per block so the count is a distinct-DOC
-        # count after the Sum shuffle (a doc's grams stay in one block)
-        g = pa.table({"__h": batch.column("__h"),
-                      id_column: batch.column(id_column)}) \
-            .group_by(["__h", id_column]).aggregate([])
-        g2 = g.group_by(["__h"]).aggregate([("__h", "count")])
-        return pa.table({"__h": g2.column("__h"),
-                         "__c": g2.column("__h_count")})
-
-    def only_dups(batch: pa.Table) -> pa.Table:
-        keep = pc.greater(batch.column("sum(__c)"), 1)
-        if max_gram_occurrences is not None:
-            keep = pc.and_(keep, pc.less_equal(
-                batch.column("sum(__c)"), max_gram_occurrences))
-        return batch.filter(keep).select(["__h"])
-
-    dups = (occ.map_batches(cnt_partial, batch_format="pyarrow",
-                            runtime_env=env)
-            .groupby("__h").aggregate(Sum("__c"))
-            .map_batches(only_dups, batch_format="pyarrow",
-                         runtime_env=env)
-            .materialize())   # O(duplicated grams) fixed-width rows
+    dups = _dup_gram_hashes(occ, max_gram_occurrences)
 
     marked = bloom_semi_join(occ, dups, "__h", bits=bloom_bits)
 
@@ -2219,23 +2144,18 @@ def minhash_dedup_incremental(new_ds, index_dir: str, *,
     """Filter form of :func:`minhash_pairs_incremental`: return the NEW
     shard's rows that are NOT near-duplicates of the indexed seen corpus
     (intra-shard near-dups are out of scope — run
-    :func:`minhash_lsh_dedup` on the shard first if needed). The dropped
-    id set is O(matched new rows) on the driver, broadcast into a
-    map-only ``is_in`` filter — the shard itself never shuffles."""
+    :func:`minhash_lsh_dedup` on the shard first if needed). The pairs'
+    ``new_id`` column feeds a Bloom-prefiltered distributed ANTI join
+    (``relational.bloom_semi_join``), the same drop step as
+    :func:`minhash_lsh_dedup`. Driver state: one Bloom bitmap (1 MiB);
+    the matched ids never reach the driver."""
     import json
+
+    from .relational import bloom_semi_join
 
     meta = json.load(open(os.path.join(index_dir, "meta.json")))
     idc = id_column or meta["id_column"]
     pairs = minhash_pairs_incremental(new_ds, index_dir,
                                       threshold=threshold)
-    dropped = pa.array(
-        sorted({r["new_id"] for r in pairs.take_all()}),
-        type=pa.int64())
-    env = package_runtime_env()
-
-    def keep(t: pa.Table) -> pa.Table:
-        m = pc.is_in(t.column(idc), value_set=dropped)
-        return t.filter(pc.invert(pc.fill_null(m, False)))
-
-    return new_ds.map_batches(keep, batch_format="pyarrow",
-                              runtime_env=env)
+    return bloom_semi_join(new_ds, pairs, idc, right_key="new_id",
+                           anti=True)

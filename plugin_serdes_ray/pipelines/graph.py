@@ -3,10 +3,9 @@
 The motivating use is duplicate-cluster labeling: near-dup pipelines
 (dedup.minhash_lsh_duplicates & friends) emit PAIRS, but choosing one
 canonical document per duplicate *cluster* needs connected components
-over the pair graph. ``union_find_clusters`` (dedup.py) does this
-driver-side for O(pairs)-small graphs; :func:`connected_components` here
-is the distributed path for when the pair graph itself is too big for one
-machine.
+over the pair graph. :func:`connected_components` labels the clusters
+without the pair graph ever reaching the driver; dedup.minhash_lsh_dedup
+drops every non-canonical member with it.
 
 Algorithm: hash-min label propagation (the classic iterative-min
 formulation, cf. Kiveris et al., "Connected Components in MapReduce and

@@ -34,8 +34,8 @@ def clean_web_corpus(ds, text_col: str = "text", id_col: str = "doc_id", *,
        (min-id per canonical value, one hash-count pass + narrow group),
        catching trivially-reformatted copies without LSH;
     3. optional NEAR-DUP removal (``near_dedup=True`` — the fully
-       distributed MinHash-LSH filter, dedup.minhash_lsh_dedup_distributed
-       at its default thresholds; off by default because LSH thresholds
+       distributed MinHash-LSH filter, dedup.minhash_lsh_dedup at its
+       default thresholds; off by default because LSH thresholds
        are corpus-specific);
     3b. optional EXACT-SUBSTRING removal (``dup_spans=True`` —
        dedup.remove_duplicate_spans excises all-but-first occurrences of
@@ -51,7 +51,7 @@ def clean_web_corpus(ds, text_col: str = "text", id_col: str = "doc_id", *,
     exact_dedup's duplicated-hash group and (when enabled) the LSH band
     buckets.
     """
-    from .dedup import (exact_dedup, minhash_lsh_dedup_distributed,
+    from .dedup import (exact_dedup, minhash_lsh_dedup,
                         remove_duplicate_spans, remove_frequent_lines)
     from .relational import assign_splits
     from .textstats import (c4_signals, canonicalize_text, gopher_filter,
@@ -95,7 +95,7 @@ def clean_web_corpus(ds, text_col: str = "text", id_col: str = "doc_id", *,
         lambda b: b.drop_columns([canon]), batch_format="pyarrow",
         runtime_env=env)
     if near_dedup:
-        deduped = minhash_lsh_dedup_distributed(deduped, text_col, id_col)
+        deduped = minhash_lsh_dedup(deduped, text_col, id_col)
     if dup_spans:
         # replace=True keeps sibling columns riding the operator's own
         # bloom routes (the corpus is never re-joined to itself); the

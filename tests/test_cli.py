@@ -572,3 +572,18 @@ def test_cli_count(ray_session, tmp_path, capsys, sf_dir):
     capsys.readouterr()
     with open(out_file) as f:
         assert json.load(f)["rows"] == pq.read_metadata(src).num_rows
+
+
+def test_cli_keeps_callers_ray_session(ray_session, capsys, sf_dir):
+    """An in-process main() runs on a Ray session it did not start and
+    leaves it up: only a session the CLI started is shut down."""
+    import ray
+
+    from plugin_serdes_ray.__main__ import main
+
+    assert ray.is_initialized()
+    rc = main(["sketch", "hll", f"{sf_dir}/documents.parquet",
+               "--column", "doc_id"])
+    assert rc == 0
+    assert _last_json(capsys)["estimate"] > 0
+    assert ray.is_initialized()

@@ -112,14 +112,12 @@ def test_minhash_detects_duplicates(ray_session):
 
 
 def test_minhash_dedup_distributed_matches_driver_path(ray_session):
-    """The scale path (pairs -> connected components -> bloom anti join)
-    keeps exactly the same survivors as the driver-side union-find path,
-    including across a TRANSITIVE chain (1~2, 2~3 where 1 and 3 may never
-    share a bucket): only the smallest id of the cluster survives."""
+    """The distributed filter (pairs -> connected components -> bloom
+    anti join) collapses a TRANSITIVE chain (1~2, 2~3 where 1 and 3 may
+    never share a bucket): only the smallest id of the cluster survives."""
     import ray.data
 
-    from plugin_serdes_ray.pipelines.dedup import (
-        minhash_lsh_dedup, minhash_lsh_dedup_distributed)
+    from plugin_serdes_ray.pipelines.dedup import minhash_lsh_dedup
 
     base = ("the quick brown fox jumps over the lazy dog and then runs far "
             "away into the woods looking for food " * 3)
@@ -130,13 +128,9 @@ def test_minhash_dedup_distributed_matches_driver_path(ray_session):
             {"doc_id": 4, "text": "entirely different corpus about arrow "
                                   "columnar formats and compression " * 5}]
     ds = ray.data.from_items(rows)
-    driver = sorted(r["doc_id"] for r in
-                    minhash_lsh_dedup(ds, "text", "doc_id").take_all())
-    dist = sorted(r["doc_id"] for r in
-                  minhash_lsh_dedup_distributed(
-                      ds, "text", "doc_id", bloom_bits=1 << 12).take_all())
-    assert dist == driver
-    assert dist == [1, 4]
+    kept = sorted(r["doc_id"] for r in
+                  minhash_lsh_dedup(ds, "text", "doc_id").take_all())
+    assert kept == [1, 4]
 
 
 def test_minhash_shuffle_ships_no_text(ray_session):
@@ -450,14 +444,6 @@ def test_infer_schema_dataset_distributed(ray_session):
     assert schema.field("c").type == pa.float64()
 
 
-def test_union_find_transitive_chain():
-    from plugin_serdes_ray.pipelines.dedup import union_find_clusters
-
-    roots = union_find_clusters([(1, 2), (2, 3), (5, 6), (3, 4)])
-    assert roots[2] == roots[3] == roots[4] == 1
-    assert roots[6] == 5
-
-
 def test_url_host_hot_prefix_salting(ray_session, tmp_path):
     """SURVEY §7.2.4: hot url prefixes detected from the sample and salted
     for even partition sizes, over the webpages corpus."""
@@ -587,7 +573,7 @@ def test_minhash_exact_jaccard_verify(ray_session):
     import ray.data
 
     from plugin_serdes_ray.pipelines.dedup import (
-        jaccard, minhash_lsh_duplicates_exact,
+        jaccard, minhash_lsh_duplicates, minhash_lsh_duplicates_exact,
     )
     from plugin_serdes_ray.fixtures import DEDUP_INJECT_BASE, dedup_corpus_text
 
@@ -601,20 +587,30 @@ def test_minhash_exact_jaccard_verify(ray_session):
         {"doc_id": 4, "text": dedup_corpus_text(9)}])
     thr = 0.7 if jb < 0.65 else jb + 0.03     # put the cut above borderline
     out = minhash_lsh_duplicates_exact(ds, "text", "doc_id", threshold=thr)
-    pairs = set(zip(out.column("keep_id").to_pylist(),
-                    out.column("dup_id").to_pylist()))
+    pairs = [(r["keep_id"], r["dup_id"]) for r in out.take_all()]
+    assert len(pairs) == len(set(pairs))      # distinct
     assert (1, 2) in pairs
     assert (1, 3) not in pairs                # exact verify rejects it
     assert all(4 not in p for p in pairs)
 
-    # the DISTRIBUTED pair-join verify (driver holds only the id->pair
-    # mapping; texts co-locate via one groupby(pair) shuffle) must return
-    # exactly what the driver-side verify returned
-    out_d = minhash_lsh_duplicates_exact(ds, "text", "doc_id", threshold=thr,
-                                         distributed=True)
-    pairs_d = set(zip(out_d.column("keep_id").to_pylist(),
-                      out_d.column("dup_id").to_pylist()))
-    assert pairs_d == pairs
+    # brute-force reference: exact Jaccard over EVERY pair of a corpus
+    # whose near-dups share many bands, so each candidate pair repeats
+    texts = {1: a, 2: near, 3: borderline, 4: dedup_corpus_text(9),
+             5: dedup_corpus_text(DEDUP_INJECT_BASE, perturb_tokens=12),
+             6: dedup_corpus_text(DEDUP_INJECT_BASE + 9, perturb_tokens=3),
+             7: dedup_corpus_text(11)}
+    want = {(i, j) for i in texts for j in texts
+            if i < j and jaccard(texts[i], texts[j]) >= thr}
+    assert len(want) >= 4
+    big = ray.data.from_items([{"doc_id": i, "text": t}
+                               for i, t in texts.items()]).repartition(3)
+    cand = [(r["keep_id"], r["dup_id"]) for r in minhash_lsh_duplicates(
+        big, "text", "doc_id", threshold=thr - 0.1).take_all()]
+    assert len(cand) > len(set(cand))
+    got = [(r["keep_id"], r["dup_id"]) for r in
+           minhash_lsh_duplicates_exact(big, "text", "doc_id",
+                                        threshold=thr).take_all()]
+    assert sorted(got) == sorted(want)
 
 
 def test_count_distinct_and_exact_quantiles(ray_session):

@@ -653,24 +653,26 @@ def test_content_hash_fallback_non_string(monkeypatch):
 
 
 def test_jaccard_verify_malformed_group_drops(ray_session):
-    """Distributed pair-verify: a group with sides [1, 1] (duplicate doc id,
-    missing counterpart) must drop the pair, not raise (ADVICE r3)."""
+    """Exact-Jaccard pair verify: a pair whose id occurs twice in the
+    corpus, whose text is missing, or whose text is null drops — it does
+    not raise (ADVICE r3)."""
     import ray.data
 
-    from plugin_serdes_ray.pipelines.dedup import _verify_pairs_distributed
+    from plugin_serdes_ray.pipelines.dedup import _verify_pairs
 
-    # doc 2 appears twice with id 2; doc 1 is absent entirely -> the (1, 2)
-    # pair group contains exactly two side-1 rows and no side-0 row, which
-    # used to crash side.index(0) before the guard reorder
-    t = pa.table({"doc_id": pa.array([2, 2, 3, 4], type=pa.int64()),
+    # doc 2 appears twice and doc 1 not at all -> the (1, 2) pair meets
+    # two rows of id 2 and none of id 1; doc 6's text is null; doc 8 is
+    # missing; (3, 4) verifies normally (threshold 0 accepts any pair)
+    t = pa.table({"doc_id": pa.array([2, 2, 3, 4, 5, 6, 7], type=pa.int64()),
                   "text": ["same text here", "same text here",
-                           "other text one", "other text two"]})
-    out = _verify_pairs_distributed(
-        ray.data.from_arrow(t), "text", "doc_id",
-        [(1, 2), (3, 4)], threshold=0.0, k=3)
-    # (1,2) dropped; (3,4) verified normally (threshold 0 accepts any pair)
-    assert list(zip(out.column("keep_id").to_pylist(),
-                    out.column("dup_id").to_pylist())) == [(3, 4)]
+                           "other text one", "other text two",
+                           "fifth text", None, "seventh text"]})
+    pairs = ray.data.from_arrow(pa.table({
+        "keep_id": pa.array([1, 3, 5, 7], type=pa.int64()),
+        "dup_id": pa.array([2, 4, 6, 8], type=pa.int64())}))
+    out = _verify_pairs(ray.data.from_arrow(t), "text", "doc_id", pairs,
+                        threshold=0.0, k=3)
+    assert [(r["keep_id"], r["dup_id"]) for r in out.take_all()] == [(3, 4)]
 
 
 # ---------------------------------------------------------------------------

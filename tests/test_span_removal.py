@@ -205,3 +205,60 @@ def test_span_removal_rejects_non_integer_ids(ray_session):
         "text": pa.array(["x" * 40, "x" * 40])}))
     with pytest.raises(ValueError, match="'doc_id' must be an integer"):
         remove_duplicate_spans(ds, "text", "doc_id")
+
+
+def test_dup_gram_count_independent_of_blocks(ray_session):
+    """The duplicate-gram count is a distinct-DOCUMENT count however its
+    occurrence rows are split into blocks: a gram repeated inside one
+    document is not duplicated, even when that document's rows arrive in
+    separate blocks (one row per block here)."""
+    import ray.data
+
+    from plugin_serdes_ray.pipelines.dedup import _dup_gram_hashes
+
+    # doc 1 repeats gram 10, doc 3 repeats gram 30 (single-doc grams);
+    # grams 11 and 20 occur in two documents each
+    occ = pa.table({
+        "__h": pa.array([10, 11, 10, 20, 11, 20, 30, 30, 30],
+                        type=pa.int64()),
+        "doc_id": pa.array([1, 1, 1, 2, 2, 3, 3, 3, 3], type=pa.int64()),
+        "pos": pa.array([0, 10, 20, 0, 10, 0, 10, 20, 30],
+                        type=pa.int64()),
+        "__first": pa.array([True, True, False, True, True, True, True,
+                             False, False])})
+
+    def dups(ds, cap=None):
+        return sorted(r["__h"] for r in _dup_gram_hashes(ds, cap).take_all())
+
+    whole = ray.data.from_arrow(occ)
+    split = ray.data.from_arrow([occ.slice(i, 1)
+                                 for i in range(occ.num_rows)])
+    assert split.num_blocks() == occ.num_rows
+    assert dups(whole) == dups(split) == [11, 20]
+    # the occurrence cap reads the same distinct-document count
+    assert dups(split, cap=1) == []
+    assert dups(split, cap=2) == [11, 20]
+
+
+def test_span_removal_tiny_blocks_matches_reference(ray_session):
+    """End to end with ~400-byte blocks, so one document's occurrence rows
+    span several blocks: a gram that repeats only inside one document is
+    still not duplicated, and the result equals the reference."""
+    import ray.data
+
+    rep = "abcdefghij" * 2
+    docs = [(1, "x" * 300),
+            (2, "Q" * 10 + rep + "W" * 200 + rep + "E" * 10),
+            (3, "z" * 5 + "unique tail text " * 20),
+            (4, "head " + rep + " shared " + "v" * 40),
+            (5, "x" * 60 + " tail")]
+    ctx = ray.data.DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 400
+    try:
+        got = _run(docs)
+    finally:
+        ctx.target_max_block_size = saved
+    want = _ref_remove(docs)
+    assert got == want
+    assert got[1][1] > 0 and got[3] == (docs[2][1], 0, 0)

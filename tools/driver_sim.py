@@ -51,7 +51,9 @@ def main() -> int:
 
     owns_ray = not ray.is_initialized()
     if owns_ray:
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
+        ray.init(address="local", include_dashboard=False,
+                 num_cpus=int(os.environ.get(
+                     "RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))),
                  ignore_reinit_error=True)
     import duckdb
 
