@@ -567,11 +567,14 @@ def _verify_pairs(ds, column: str, id_column: str, pairs,
     group. A pair whose text is missing or null, or whose id occurs twice
     in ``ds``, does not have exactly its two endpoint rows and drops."""
     import ray
+    import ray.data
 
     from .relational import bloom_probe_hits, build_key_bloom, hash_join
 
     env = package_runtime_env()
     i64 = pa.int64()
+    empty = pa.table({"keep_id": pa.array([], type=i64),
+                      "dup_id": pa.array([], type=i64)})
 
     def side_rows(batch: pa.Table) -> pa.Table:
         keep = batch.column("keep_id").combine_chunks().cast(i64)
@@ -582,6 +585,10 @@ def _verify_pairs(ds, column: str, id_column: str, pairs,
 
     sides = pairs.map_batches(side_rows, batch_format="pyarrow",
                               runtime_env=env).materialize()
+    if sides.count() == 0:
+        # no candidates: the empty pair shuffle has no schema, which would
+        # crash the join below — return the empty result directly
+        return ray.data.from_arrow(empty)
     words_ref = build_key_bloom(sides, ["__id"], out_keys=["__id"],
                                 out_types={"__id": i64}, num_hashes=4)
 
@@ -593,8 +600,6 @@ def _verify_pairs(ds, column: str, id_column: str, pairs,
 
     texts = ds.map_batches(candidate_texts, batch_format="pyarrow",
                            runtime_env=env)
-    empty = pa.table({"keep_id": pa.array([], type=i64),
-                      "dup_id": pa.array([], type=i64)})
 
     def check(group: pa.Table) -> pa.Table:
         pair = group.select(["keep_id", "dup_id"]).slice(0, 1)
@@ -1009,9 +1014,9 @@ def dup_span_stats(ds, column: str, id_column: str, *, gram: int = 20,
     bytes at the 20/10 defaults) ever leave the map side.
 
     1. spans pass (map-only): distinct gram hashes per doc.
-    2. duplicated-hash detection: per-block ``value_counts`` partials ->
-       native Sum -> filter count>1 (combiner-shrunk keyed shuffle; pairs
-       are pre-deduped per doc so the count IS the distinct-doc count).
+    2. duplicated-hash detection: :func:`_dup_gram_hashes` (a native
+       keyed count, combined map-side; pairs are pre-deduped per doc so
+       the count IS the distinct-doc count), materialized once.
     3. attribution: :func:`~.relational.bloom_semi_join` of the pairs
        against the duplicated hashes — the typical non-duplicated gram is
        dropped map-only by the broadcast bitmap and only bloom hits pay
@@ -1052,23 +1057,7 @@ def dup_span_stats(ds, column: str, id_column: str, *, gram: int = 20,
                          id_column: pa.array(np.concatenate(out_ids))})
 
     pairs = ds.map_batches(spans, batch_format="pyarrow", runtime_env=env)
-
-    def cnt_partial(batch: pa.Table) -> pa.Table:
-        g = pa.table({"__h": batch.column("__h")}).group_by(
-            ["__h"]).aggregate([("__h", "count")])
-        # by-name select: TableGroupBy column order is version-dependent
-        return pa.table({"__h": g.column("__h"),
-                         "__c": g.column("__h_count")})
-
-    def only_dups(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.greater(batch.column("sum(__c)"), 1))
-        return t.select(["__h"])
-
-    dups = (pairs.map_batches(cnt_partial, batch_format="pyarrow",
-                              runtime_env=env)
-            .groupby("__h").aggregate(Sum("__c"))
-            .map_batches(only_dups, batch_format="pyarrow", runtime_env=env))
-
+    dups = _dup_gram_hashes(pairs)
     marked = bloom_semi_join(pairs, dups, "__h", bits=bloom_bits)
 
     def per_doc(tag_total: bool):
@@ -1121,15 +1110,19 @@ def _dup_gram_hashes(occ, max_gram_occurrences: Optional[int] = None):
     the grams that occur in >= 2 distinct documents, and in at most
     ``max_gram_occurrences`` when that is set.
 
-    ``occ`` carries ``(__h, <id>, pos, __first)`` occurrence rows, where
-    ``__first`` marks a document's first occurrence of each hash — set
-    where the whole document is seen. The distinct-document count is then
-    a plain row count of the flagged rows (a native keyed count, combined
-    map-side), and holds however the rows are split into blocks."""
+    ``occ`` carries ``__h`` rows. Where a document's hashes may repeat,
+    a ``__first`` flag marks its first occurrence of each hash — set
+    where the whole document is seen; rows without the flag must already
+    be distinct per document. The distinct-document count is then a
+    plain row count of the (flagged) rows (a native keyed count,
+    combined map-side), and holds however the rows are split into
+    blocks."""
     env = package_runtime_env()
 
     def firsts(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch.column("__first")).select(["__h"])
+        if "__first" in batch.column_names:
+            batch = batch.filter(batch.column("__first"))
+        return batch.select(["__h"])
 
     def only_dups(batch: pa.Table) -> pa.Table:
         n = batch.column("count()")
@@ -2147,8 +2140,9 @@ def minhash_dedup_incremental(new_ds, index_dir: str, *,
     :func:`minhash_lsh_dedup` on the shard first if needed). The pairs'
     ``new_id`` column feeds a Bloom-prefiltered distributed ANTI join
     (``relational.bloom_semi_join``), the same drop step as
-    :func:`minhash_lsh_dedup`. Driver state: one Bloom bitmap (1 MiB);
-    the matched ids never reach the driver."""
+    :func:`minhash_lsh_dedup`; the matched ids are materialized once in
+    the object store, so the index probe runs once. Driver state: one
+    Bloom bitmap (1 MiB); the matched ids never reach the driver."""
     import json
 
     from .relational import bloom_semi_join
@@ -2157,5 +2151,12 @@ def minhash_dedup_incremental(new_ds, index_dir: str, *,
     idc = id_column or meta["id_column"]
     pairs = minhash_pairs_incremental(new_ds, index_dir,
                                       threshold=threshold)
-    return bloom_semi_join(new_ds, pairs, idc, right_key="new_id",
+    # the anti join reads its right side twice (bitmap, exact residual):
+    # hold the matched ids once (O(matched) fixed-width rows in the object
+    # store) instead of re-running the index probe and its shuffle
+    matched = pairs.map_batches(lambda t: t.select(["new_id"]),
+                                batch_format="pyarrow",
+                                runtime_env=package_runtime_env()
+                                ).materialize()
+    return bloom_semi_join(new_ds, matched, idc, right_key="new_id",
                            anti=True)

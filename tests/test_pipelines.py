@@ -613,6 +613,29 @@ def test_minhash_exact_jaccard_verify(ray_session):
     assert sorted(got) == sorted(want)
 
 
+def test_minhash_exact_no_near_duplicates(ray_session):
+    """A corpus with no near-duplicates yields no candidate pairs: the
+    exact verify returns an empty typed result and dedup keeps every row."""
+    import ray.data
+
+    from plugin_serdes_ray.fixtures import dedup_corpus_text
+    from plugin_serdes_ray.pipelines.dedup import (
+        minhash_lsh_dedup, minhash_lsh_duplicates,
+        minhash_lsh_duplicates_exact,
+    )
+
+    ds = ray.data.from_items([{"doc_id": i, "text": dedup_corpus_text(i)}
+                              for i in range(6)])
+    assert minhash_lsh_duplicates(ds, "text", "doc_id",
+                                  threshold=0.6).take_all() == []
+    out = minhash_lsh_duplicates_exact(ds, "text", "doc_id").materialize()
+    assert out.take_all() == []
+    assert out.schema().names == ["keep_id", "dup_id"]
+    kept = sorted(r["doc_id"] for r in
+                  minhash_lsh_dedup(ds, "text", "doc_id").take_all())
+    assert kept == list(range(6))
+
+
 def test_count_distinct_and_exact_quantiles(ray_session):
     import duckdb
     import ray.data
