@@ -260,7 +260,7 @@ class FsstCodec(Codec):
         validity = validity_from_bytes(vsec, n)
         lengths = unpack_uints(lengths_packed, n, lw)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths.astype(np.int64), out=offsets[1:])
+        np.cumsum(lengths.view(np.int64), out=offsets[1:])
         if meta.get("raw"):
             data = enc
         else:

@@ -1,16 +1,24 @@
-"""Optional C kernel for the FSST greedy encoder.
+"""The engine's one native kernel library: small C loops, loaded via ctypes.
 
-The pure-python encoder (bytes.replace chains in fsst.py) costs one full
-buffer pass per symbol — ~0.5-5 MB/s with a 100+ symbol table, which made
-FSST unpickable in practice (BASELINE.md r1). The real FSST encodes with a
-single greedy longest-match pass (Boncz et al., VLDB 2020 §4); that loop is
-inherently sequential per byte, so it is expressed here as ~40 lines of C,
-compiled ONCE per machine into a content-addressed .so under /tmp with the
-system compiler, loaded via ctypes. No third-party packages, no network.
-Everything degrades gracefully: if no compiler is present the caller falls
-back to the replace-chain path and the output format is unchanged (the
-streams are mutually decodable — decode only needs a valid code/escape
-stream).
+It holds the kernels whose loop is sequential per byte or per value, where
+numpy would either loop in Python or blow the data up first:
+
+- FSST greedy encode and decode (``fsst.py``): the pure-python encoder
+  (bytes.replace chains) costs one full buffer pass per symbol, ~0.5-5
+  MB/s with a 100+ symbol table (BASELINE.md r1); the real FSST encodes
+  in one greedy longest-match pass (Boncz et al., VLDB 2020 §4);
+- MinHash signatures and the 64-bit content hash (``pipelines/dedup.py``);
+- bit-pack and bit-unpack (``bitpack.py``), which carry every FOR, delta
+  and RLE stream, the dict indices and the FSST lengths: one word-at-a-time
+  loop each (Lemire & Boytsov, SPE 2015), where the numpy fallback expands
+  every value to 64 one-byte bits.
+
+The source is compiled ONCE per machine into a content-addressed .so under
+``$TMPDIR/fsst-<uid>/`` with the system compiler. No third-party packages,
+no network. Everything degrades gracefully: each ``native_*`` wrapper
+returns None when no compiler exists, and the caller's numpy or python
+fallback produces the same bytes (FSST streams are mutually decodable:
+decode only needs a valid code/escape stream).
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import sys
 import tempfile
 import threading
 
@@ -167,6 +176,65 @@ void hash64_poly(const unsigned char *data, const long *offs, long n,
     }
 }
 
+/* Bit-pack (codecs/bitpack.py): the low w bits of each value, LSB-first
+   and little-endian, one 64-bit accumulator flushed a word at a time.
+   out holds exactly ceil(n*w/8) bytes; the tail is written bytewise. */
+void bitpack_u64(const unsigned long long *v, long n, int w,
+                 unsigned char *out)
+{
+    const unsigned long long mask = w == 64 ? ~0ULL : (1ULL << w) - 1;
+    unsigned long long acc = 0;
+    int bits = 0;
+    for (long i = 0; i < n; ++i) {
+        unsigned long long x = v[i] & mask;
+        acc |= x << bits;
+        bits += w;
+        if (bits >= 64) {
+            memcpy(out, &acc, 8);
+            out += 8;
+            bits -= 64;
+            acc = bits ? x >> (w - bits) : 0;
+        }
+    }
+    for (; bits > 0; bits -= 8, acc >>= 8) *out++ = (unsigned char) acc;
+}
+
+/* Inverse: n values of w bits from in[0..nbytes). Loads a word at a time
+   and never reads at or past nbytes (the last word is gathered bytewise).
+   Returns 0, or -1 when the input runs out (the caller checks the length
+   first; this only keeps a misuse from shifting out of range). */
+int bitunpack_u64(const unsigned char *in, long nbytes, long n, int w,
+                  unsigned long long *out)
+{
+    const unsigned long long mask = w == 64 ? ~0ULL : (1ULL << w) - 1;
+    unsigned long long acc = 0;
+    int bits = 0;
+    long p = 0;
+    for (long i = 0; i < n; ++i) {
+        if (bits >= w) {            /* here w < 64: bits never exceeds 63 */
+            out[i] = acc & mask;
+            acc >>= w;
+            bits -= w;
+            continue;
+        }
+        unsigned long long word = 0;
+        int got = 64;
+        if (p + 8 <= nbytes) {
+            memcpy(&word, in + p, 8);
+            p += 8;
+        } else {
+            for (got = 0; p < nbytes && got < 64; got += 8)
+                word |= (unsigned long long) in[p++] << got;
+        }
+        int need = w - bits;
+        if (got < need) return -1;
+        out[i] = (acc | (word << bits)) & mask;
+        acc = need == 64 ? 0 : word >> need;
+        bits = got - need;
+    }
+    return 0;
+}
+
 /* Exact decoded length of a code/escape stream (first pass of decode). */
 long fsst_decoded_len(const unsigned char *e, long n,
                       const unsigned char *slen, int nsym)
@@ -290,6 +358,13 @@ def _build_lib():
         lib.hash64_poly.argtypes = [
             ctypes.c_void_p, ctypes.POINTER(ctypes.c_long), ctypes.c_long,
             u64p]
+        lib.bitpack_u64.restype = None
+        lib.bitpack_u64.argtypes = [
+            ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_void_p]
+        lib.bitunpack_u64.restype = ctypes.c_int
+        lib.bitunpack_u64.argtypes = [
+            ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_int,
+            ctypes.c_void_p]
         return lib
     except (OSError, AttributeError):
         return None
@@ -376,6 +451,37 @@ def native_hash64(data: np.ndarray, offsets: np.ndarray):
         data.ctypes.data, offs.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
         n, out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)))
     return out[:n]
+
+
+def native_bitpack(values: np.ndarray, width: int):
+    """Low ``width`` (1..64) bits of each value, packed LSB-first into
+    ceil(n*width/8) bytes (a zero-copy memoryview), or None when no
+    compiler exists or the host is big-endian. Bytes are identical to
+    bitpack.py's numpy fallback."""
+    lib = get_lib()
+    if lib is None or sys.byteorder != "little":
+        return None
+    v = np.ascontiguousarray(values, dtype=np.uint64)
+    out = np.empty((len(v) * width + 7) // 8, dtype=np.uint8)
+    lib.bitpack_u64(v.ctypes.data, len(v), width, out.ctypes.data)
+    return out.data
+
+
+def native_bitunpack(data, n: int, width: int):
+    """Inverse of :func:`native_bitpack`: uint64 array of length ``n``, or
+    None without a compiler. Raises ValueError when ``data`` holds fewer
+    than ceil(n*width/8) bytes, before the kernel runs."""
+    lib = get_lib()
+    if lib is None or sys.byteorder != "little":
+        return None
+    view, addr = _in_ptr(data)
+    need = (n * width + 7) // 8
+    out = np.empty(n, dtype=np.uint64)
+    if len(view) < need or lib.bitunpack_u64(addr, len(view), n, width,
+                                             out.ctypes.data):
+        raise ValueError(f"bit-packed section has {len(view)} bytes; "
+                         f"{n} values of {width} bits need {need}")
+    return out
 
 
 def native_decompress(enc, symbols: list[bytes]):

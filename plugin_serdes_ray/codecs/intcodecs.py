@@ -79,7 +79,8 @@ class ForCodec(Codec):
         n, lo, w = meta["n"], meta["min"], meta["w"]
         sections = unpack_sections(payload)
         validity = validity_from_bytes(sections[0], n)
-        vals = unpack_uints(sections[1], n, w).astype(np.int64) + np.int64(lo)
+        vals = unpack_uints(sections[1], n, w).view(np.int64)
+        vals += np.int64(lo)
         if validity is not None:
             vals = np.where(validity, vals, np.int64(0))
         return fixed_from_numpy(vals, validity, typ)
@@ -126,7 +127,8 @@ class DeltaCodec(Codec):
         out = np.empty(n, dtype=np.uint64)
         out[0] = np.uint64(first)
         if n > 1:
-            zz = unpack_uints(sections[1], n - 1, w) + np.uint64(zmin)
+            zz = unpack_uints(sections[1], n - 1, w)
+            zz += np.uint64(zmin)
             du = zigzag_decode(zz).view(np.uint64)
             np.cumsum(du, out=out[1:])
             out[1:] += np.uint64(first)
@@ -179,7 +181,8 @@ class RleCodec(Codec):
         if n == 0:
             return pa.array([], type=typ)
         has_validity, lengths_packed, sub = unpack_sections(payload)
-        run_lengths = (unpack_uints(lengths_packed, r, lw) + np.uint64(1)).astype(np.int64)
+        run_lengths = unpack_uints(lengths_packed, r, lw).view(np.int64)
+        run_lengths += 1
         rv_arr = decode_array(sub, pa.int64())
         run_vals = rv_arr.fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
         vals = np.repeat(run_vals, run_lengths)

@@ -5,6 +5,7 @@ Mirrors the reference's per-type converter test layer
 PrimitiveIntTest.java:13-42): tables of (input, expected) per codec.
 """
 
+import itertools
 from decimal import Decimal
 
 import numpy as np
@@ -15,8 +16,8 @@ from plugin_serdes_ray.codecs import codec_names, decode_array, encode_array
 from plugin_serdes_ray.codecs.bitpack import (
     pack_uints, unpack_uints, zigzag_decode, zigzag_encode,
 )
-from plugin_serdes_ray.codecs import fsst
-from plugin_serdes_ray.testing import arrays_equal
+from plugin_serdes_ray.codecs import fsst, fsst_native
+from plugin_serdes_ray.testing import arrays_equal, tables_equal
 
 rng = np.random.default_rng(42)
 
@@ -105,11 +106,114 @@ def test_sliced_input_roundtrip():
     assert arrays_equal(out2, arr2)
 
 
-def test_bitpack_roundtrip():
-    for width in [0, 1, 3, 7, 8, 13, 31, 33, 63, 64]:
-        n = 257
-        vals = rng.integers(0, 2**min(width, 63), n, dtype=np.uint64) if width else np.zeros(n, dtype=np.uint64)
-        assert (unpack_uints(pack_uints(vals, width), n, width) == vals).all()
+BITPACK_NS = [0, 1, 7, 8, 9, 63, 64, 65, 1000, 150001]
+
+
+def _numpy_bitpack(mp):
+    """Route pack_uints/unpack_uints through the numpy fallback."""
+    mp.setattr(fsst_native, "native_bitpack", lambda *a: None)
+    mp.setattr(fsst_native, "native_bitunpack", lambda *a: None)
+
+
+def _unaligned(packed: bytes, off: int) -> memoryview:
+    """``packed`` as a slice at byte offset ``off`` of a larger buffer,
+    the way unpack_sections hands sections out."""
+    buf = b"\xa5" * off + bytes(packed) + b"\xff" * 9
+    return memoryview(buf)[off:off + len(packed)]
+
+
+def test_bitpack_roundtrip(monkeypatch):
+    """The native kernel and the numpy fallback pack to the same bytes and
+    unpack to the same values at every width, for values that span the
+    full width (the high bit set at w=64) and for unaligned inputs."""
+    assert fsst_native.get_lib() is not None, "native kernel did not build"
+    r = np.random.default_rng(7)
+    for width, n in itertools.product(range(65), BITPACK_NS):
+        top = (1 << width) - 1
+        vals = r.integers(0, top, n, dtype=np.uint64, endpoint=True)
+        vals[: min(n, 2)] = [top, 0][: min(n, 2)]
+        nbytes = (n * width + 7) // 8
+        packed = bytes(pack_uints(vals, width))
+        assert len(packed) == nbytes
+        got = [unpack_uints(packed, n, width)]
+        got += [unpack_uints(_unaligned(packed, off), n, width)
+                for off in range(1, 8)]
+        with monkeypatch.context() as mp:
+            _numpy_bitpack(mp)
+            assert pack_uints(vals, width) == packed
+            got += [unpack_uints(packed, n, width),
+                    unpack_uints(_unaligned(packed, 3), n, width)]
+        for out in got:
+            assert out.dtype == np.uint64 and (out == vals).all()
+
+
+def test_bitpack_truncated_raises(monkeypatch):
+    """A packed section shorter than ceil(n*w/8) bytes raises ValueError on
+    both paths, directly and through a FOR chunk; widths above 64 too."""
+    from plugin_serdes_ray.codecs.base import pack_chunk, pack_sections
+
+    vals = np.arange(1000, dtype=np.uint64)
+    packed = bytes(pack_uints(vals, 10))
+    chunk = pack_chunk("for", {"n": 1000, "min": 5, "w": 10},
+                       pack_sections([b"", packed[:-1]]))
+    for fallback in (False, True):
+        with monkeypatch.context() as mp:
+            if fallback:
+                _numpy_bitpack(mp)
+            for short in (packed[:-1], _unaligned(packed[:100], 5), b""):
+                with pytest.raises(ValueError):
+                    unpack_uints(short, 1000, 10)
+            with pytest.raises(ValueError):
+                decode_array(chunk, pa.int64())
+            with pytest.raises(ValueError):
+                unpack_uints(packed, 10, 65)
+    # The kernel itself stops at nbytes rather than loading past it.
+    lib = fsst_native.get_lib()
+    for width in (10, 63, 64):
+        full = np.frombuffer(bytes(pack_uints(vals, width)), dtype=np.uint8)
+        out = np.empty(1000, dtype=np.uint64)
+        for nbytes in (len(full) - 1, len(full) - 8, 3, 0):
+            assert lib.bitunpack_u64(full.ctypes.data, nbytes, 1000, width,
+                                     out.ctypes.data) == -1
+        assert lib.bitunpack_u64(full.ctypes.data, len(full), 1000, width,
+                                 out.ctypes.data) == 0
+        assert (out == vals).all()
+
+
+def test_bitpack_paths_write_identical_partitions(tmp_path, monkeypatch):
+    """A lineitem-shaped table written on the native path and on the numpy
+    fallback gives byte-identical container files."""
+    from plugin_serdes_ray.container import read_partition, write_partition
+
+    r = np.random.default_rng(11)
+    n = 20_000
+    day0 = np.datetime64("1995-01-02", "D")
+    qty = r.integers(1, 51, n)
+    t = pa.table({
+        "l_orderkey": r.integers(0, n // 4, n),
+        "l_partkey": pa.array([None if i % 11 == 0 else int(v) for i, v in
+                               enumerate(r.integers(0, 20_000, n))]),
+        "l_linenumber": pa.array(np.sort(r.integers(1, 8, n)), type=pa.int32()),
+        "l_quantity": qty.astype(np.float64),
+        "l_returnflag": pa.array(np.array(["A", "N", "R"])[r.integers(0, 3, n)]),
+        "l_linestatus": pa.array(np.repeat(["F", "O"], n // 2)),
+        "l_shipdate": pa.array(np.sort(day0 + r.integers(0, 2499, n))
+                               .astype("datetime64[us]")),
+        "l_comment": pa.array([f"carefully final deposits {i % 977}"
+                               for i in range(n)]),
+    })
+    plan = {"l_orderkey": "for", "l_partkey": "for", "l_linenumber": "rle",
+            "l_quantity": "dict", "l_returnflag": "dict",
+            "l_linestatus": "dict_rle", "l_shipdate": "delta",
+            "l_comment": "fsst"}
+    native, fallback = str(tmp_path / "native.grck"), str(tmp_path / "np.grck")
+    write_partition(t, native, plan)
+    with monkeypatch.context() as mp:
+        _numpy_bitpack(mp)
+        write_partition(t, fallback, plan)
+        assert tables_equal(read_partition(native), t)
+    assert open(native, "rb").read() == open(fallback, "rb").read()
+    assert tables_equal(read_partition(fallback), t)
 
 
 def test_zigzag():
