@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from plugin_serdes_ray.util import vectors_to_numpy
+from plugin_serdes_ray.util import map_batches, map_groups, vectors_to_numpy
 
 _QUERY_CACHE_ROOT = "/tmp/graft_query_cache"
 
@@ -51,12 +51,6 @@ def _cache_dir(sf_dir: str, name: str) -> str:
     d = os.path.join(_QUERY_CACHE_ROOT, _sf_tag(sf_dir), name)
     os.makedirs(d, exist_ok=True)
     return d
-
-
-def _env() -> dict:
-    from plugin_serdes_ray.util import package_runtime_env
-
-    return package_runtime_env()
 
 
 def _read(sf_dir: str, table: str):
@@ -179,8 +173,7 @@ def _dict_decode_lang_counts(sf_dir: str) -> pa.Table:
         return pa.table({"lang": g.column("lang").cast(pa.string()),
                          "n": g.column("count_all")})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          runtime_env=_env()).take_all()
+    rows = map_batches(ds, partial).take_all()
     agg = (pa.Table.from_pylist(rows).group_by("lang")
            .aggregate([("n", "sum")]))
     return pa.table({"lang": agg.column("lang"),
@@ -373,8 +366,7 @@ def _dup_span_removal(sf_dir: str):
                          "removed_chars": t.column("removed_chars"),
                          "clean_len": cl})
 
-    rows = out.map_batches(to_stats, batch_format="pyarrow",
-                           runtime_env=_env()).take_all()
+    rows = map_batches(out, to_stats).take_all()
     rows.sort(key=lambda r: r["doc_id"])
     return pa.table({
         "doc_id": pa.array([r["doc_id"] for r in rows], type=pa.int64()),
@@ -434,10 +426,8 @@ def _dedup_minhash(sf_dir: str):
         return f
 
     inc = exact_dedup_incremental(
-        docs.map_batches(parity(1), batch_format="pyarrow",
-                         runtime_env=_env()),
-        docs.map_batches(parity(0), batch_format="pyarrow",
-                         runtime_env=_env()),
+        map_batches(docs, parity(1)),
+        map_batches(docs, parity(0)),
         "text", "doc_id")
     rows += [("incremental", r["doc_id"]) for r in inc.take_all()]
     # 'minhash_incr': the MATERIALIZED LSH index path — seen = even base
@@ -464,10 +454,8 @@ def _dedup_minhash(sf_dir: str):
                                      pa.scalar(1, pa.int64())), 1))
         return b.filter(keep)
 
-    seen = corpus.map_batches(even_base, batch_format="pyarrow",
-                              runtime_env=_env())
-    newd = corpus.map_batches(new_shard, batch_format="pyarrow",
-                              runtime_env=_env())
+    seen = map_batches(corpus, even_base)
+    newd = map_batches(corpus, new_shard)
     idx = _cache_dir(sf_dir, "mh_index_even")
     build_minhash_index(seen, idx, shards=8)
     surv = minhash_dedup_incremental(newd, idx)
@@ -536,8 +524,7 @@ def _pq_dup_pairs(sf_dir: str) -> list:
                                                    type=pa.int64())))
         return pa.concat_tables([t, dup])
 
-    corpus = ds.map_batches(inject, batch_format="pyarrow",
-                            runtime_env=_env())
+    corpus = map_batches(ds, inject)
     books = pq_train(corpus, m=8, n_codes=64, sample_size=4096, seed=11)
     enc = pq_encode(corpus, books)
 
@@ -550,8 +537,7 @@ def _pq_dup_pairs(sf_dir: str) -> list:
                          "code64": pa.array(packed),
                          "embedding": t.column("embedding")})
 
-    packed_ds = enc.map_batches(pack, batch_format="pyarrow",
-                                runtime_env=_env())
+    packed_ds = map_batches(enc, pack)
     # candidate groups: packed codes seen >= 2 times (combiner-shrunk
     # count shuffle); then ONE bounded is_in fetch of candidate vectors
     from plugin_serdes_ray.pipelines.relational import grouped_aggregate
@@ -565,8 +551,7 @@ def _pq_dup_pairs(sf_dir: str) -> list:
     def keep_hot(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_in(t.column("code64"), value_set=hot_arr))
 
-    cand = packed_ds.map_batches(keep_hot, batch_format="pyarrow",
-                                 runtime_env=_env()).take_all()
+    cand = map_batches(packed_ds, keep_hot).take_all()
     by_code: dict = {}
     for r in cand:
         by_code.setdefault(r["code64"], []).append(
@@ -666,9 +651,8 @@ def _dedup_clusters(sf_dir: str):
             bucket.cast(pa.string()), "#")
         return pa.table({"key": key, "id": t.column("doc_id")})
 
-    keys = docs.map_batches(k1, batch_format="pyarrow",
-                            runtime_env=_env()).union(
-        docs.map_batches(k2, batch_format="pyarrow", runtime_env=_env()))
+    keys = map_batches(docs, k1).union(
+        map_batches(docs, k2))
     comp = connected_components(star_edges(keys, "key", "id"))
     rows = sorted((r["v"], r["component"]) for r in comp.take_all())
     return pa.table({
@@ -813,8 +797,7 @@ def _textstats_tokens(sf_dir: str):
     from plugin_serdes_ray.pipelines.textstats import token_counts
 
     ds = _read(sf_dir, "documents")
-    out = ds.map_batches(lambda b: token_counts(b, bpe=False),
-                         batch_format="pyarrow", runtime_env=_env())
+    out = map_batches(ds, lambda b: token_counts(b, bpe=False))
     rows = out.take_all()
     return pa.table({
         "doc_id": pa.array([r["doc_id"] for r in rows], type=pa.int64()),
@@ -826,7 +809,7 @@ def _textstats_len(sf_dir: str):
     from plugin_serdes_ray.pipelines.textstats import quality_scores
 
     ds = _read(sf_dir, "documents")
-    out = ds.map_batches(lambda b: quality_scores(b), batch_format="pyarrow", runtime_env=_env())
+    out = map_batches(ds, lambda b: quality_scores(b))
     rows = out.take_all()
     return pa.table({
         "doc_id": pa.array([r["doc_id"] for r in rows], type=pa.int64()),
@@ -860,9 +843,8 @@ def _fingerprints(sf_dir: str):
     ds = _read(sf_dir, "documents").select_columns(["doc_id", "text"]).union(
         ray.data.from_arrow(inject))
     # shuffle ships (doc_id, fingerprint) only — never the text
-    fps = ds.map_batches(lambda b: fingerprint(b).select(["doc_id",
-                                                          "fingerprint"]),
-                         batch_format="pyarrow", runtime_env=_env())
+    fps = map_batches(
+        ds, lambda b: fingerprint(b).select(["doc_id", "fingerprint"]))
 
     def members(group: pa.Table) -> pa.Table:
         # multi-member fingerprint groups only: candidate set, O(collisions)
@@ -873,8 +855,7 @@ def _fingerprints(sf_dir: str):
 
     import pyarrow.compute as pc
 
-    cand = fps.groupby("fingerprint").map_groups(
-        members, batch_format="pyarrow", runtime_env=_env()).take_all()
+    cand = map_groups(fps.groupby("fingerprint"), members).take_all()
     wanted = pa.array(sorted({r["doc_id"] for r in cand}), type=pa.int64())
 
     def fetch(batch: pa.Table) -> pa.Table:
@@ -883,8 +864,7 @@ def _fingerprints(sf_dir: str):
 
     # O(candidates) text fetch — the corpus itself never collects
     texts = {r["doc_id"]: r["text"] for r in
-             ds.map_batches(fetch, batch_format="pyarrow",
-                            runtime_env=_env()).take_all()}
+             map_batches(ds, fetch).take_all()}
     # within each fingerprint group, cluster by EXACT text (the fingerprint
     # was only the candidate generator) and emit (min_id, other) pairs
     by_fp: dict = {}
@@ -1000,9 +980,8 @@ def _importance_weights_documents(sf_dir: str):
     from plugin_serdes_ray.pipelines.textstats import importance_weights
 
     docs = _read(sf_dir, "documents")
-    target = docs.map_batches(
-        lambda t: t.filter(pc.equal(t.column("lang"), "en")),
-        batch_format="pyarrow", runtime_env=_env())
+    target = map_batches(
+        docs, lambda t: t.filter(pc.equal(t.column("lang"), "en")))
     rows = importance_weights(docs, target, vocab_k=200).take_all()
     return pa.table({
         "doc_id": pa.array([r["doc_id"] for r in rows], type=pa.int64()),
@@ -1037,8 +1016,7 @@ def _anomalies_events(sf_dir: str):
         return t.set_column(t.column_names.index("sum_value"),
                             "sum_value", vals)
 
-    rounded = grid.map_batches(round9, batch_format="pyarrow",
-                               runtime_env=_env())
+    rounded = map_batches(grid, round9)
     rows = robust_anomalies(rounded, "event_type", "sum_value",
                             threshold=3.0).take_all()
     return pa.table({
@@ -1103,8 +1081,7 @@ def _rolling_mean_events(sf_dir: str):
         return t.set_column(t.column_names.index("sum_value"),
                             "sum_value", vals)
 
-    rounded = grid.map_batches(round9, batch_format="pyarrow",
-                               runtime_env=_env())
+    rounded = map_batches(grid, round9)
     rows = rolling_aggregate(rounded, "event_type", "bucket_start",
                              "sum_value", window=24).take_all()
     return pa.table({
@@ -1171,10 +1148,9 @@ def _c4_clean_documents(sf_dir: str):
             l1, raw, const("Too short."), l4, l5, l6, "\n")
         return pa.table({"doc_id": ids, "text": page})
 
-    ds = (_read(sf_dir, "documents").select_columns(["doc_id", "text"])
-          .map_batches(synth, batch_format="pyarrow", runtime_env=_env()))
-    out = ds.map_batches(lambda t: c4_signals(t).drop_columns(["text"]),
-                         batch_format="pyarrow", runtime_env=_env())
+    ds = map_batches(
+        _read(sf_dir, "documents").select_columns(["doc_id", "text"]), synth)
+    out = map_batches(ds, lambda t: c4_signals(t).drop_columns(["text"]))
     rows = out.take_all()
     return pa.table({
         "doc_id": pa.array([r["doc_id"] for r in rows], type=pa.int64()),
@@ -1223,9 +1199,8 @@ def _token_entropy_documents(sf_dir: str):
     from plugin_serdes_ray.pipelines.textstats import token_entropy
 
     ds = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
-    rows = ds.map_batches(
-        lambda b: token_entropy(b).select(["doc_id", "token_entropy"]),
-        batch_format="pyarrow", runtime_env=_env()).take_all()
+    rows = map_batches(ds, lambda b: token_entropy(b).select(
+        ["doc_id", "token_entropy"])).take_all()
     rows.sort(key=lambda r: r["doc_id"])
     return pa.table({
         "doc_id": pa.array([r["doc_id"] for r in rows], type=pa.int64()),
@@ -1412,8 +1387,7 @@ def _cdc_merge_orders(sf_dir: str):
             tag(ins, "upsert", 1),
         ])
 
-    delta = _read(sf_dir, "orders").map_batches(
-        mk_delta, batch_format="pyarrow", runtime_env=_env())
+    delta = map_batches(_read(sf_dir, "orders"), mk_delta)
     return merge_changes(snap, delta, "o_orderkey", op_column="op",
                          version_column="ver")
 
@@ -1439,8 +1413,7 @@ def _zorder_lineitem(sf_dir: str):
                          "l_partkey": t.column("l_partkey"),
                          "l_suppkey": t.column("l_suppkey")})
 
-    keyed = ds.map_batches(add_id, batch_format="pyarrow",
-                           runtime_env=_env())
+    keyed = map_batches(ds, add_id)
     out = zorder_sort(keyed, ["l_partkey", "l_suppkey"], "id", bits=8,
                       rank_col="rank")
     rows = out.take_all()
@@ -1530,10 +1503,8 @@ def _edit_pairs_documents(sf_dir: str):
         base = pa.table({"doc_id": ids, "source": src, "text": txt})
         return pa.concat_tables([base, twins])
 
-    ds = (_read(sf_dir, "documents")
-          .select_columns(["doc_id", "source", "text"])
-          .map_batches(augment, batch_format="pyarrow",
-                       runtime_env=_env()))
+    ds = map_batches(_read(sf_dir, "documents")
+                     .select_columns(["doc_id", "source", "text"]), augment)
     rows = edit_distance_pairs(ds, "text", "doc_id", ["source"],
                                max_dist=2).take_all()
     return pa.table({
@@ -1612,8 +1583,7 @@ def _triangles_documents(sf_dir: str):
         return pa.table({"a": pa.array(np.concatenate([ids, ids, p])),
                          "b": pa.array(np.concatenate([p, q, q]))})
 
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow",
-                             runtime_env=_env())
+    edges = map_batches(docs, mk_edges)
     rows = triangle_count(edges).take_all()
     return pa.table({
         "doc_id": pa.array([r["v"] for r in rows], type=pa.int64()),
@@ -1705,9 +1675,8 @@ def _full_join_customer_orders(sf_dir: str):
         import pyarrow.compute as pc
         return batch.filter(pc.greater(batch.column("c_acctbal"), 0.0))
 
-    cust = (_read(sf_dir, "customer").select_columns(["c_custkey", "c_acctbal"])
-            .map_batches(pos_bal, batch_format="pyarrow", runtime_env=_env())
-            .select_columns(["c_custkey"]))
+    cust = map_batches(_read(sf_dir, "customer").select_columns(
+        ["c_custkey", "c_acctbal"]), pos_bal).select_columns(["c_custkey"])
     per_cust = grouped_aggregate(_read(sf_dir, "orders"), ["o_custkey"],
                                  count_name="n_orders")
     out = hash_join(cust, per_cust, key="c_custkey", right_key="o_custkey",
@@ -1756,11 +1725,9 @@ def _asof_left_join_last_error(sf_dir: str):
             return batch.filter(pc.equal(batch.column("event_type"), kind))
         return f
 
-    clicks = ev.map_batches(pick("click"), batch_format="pyarrow",
-                            runtime_env=_env()).select_columns(
+    clicks = map_batches(ev, pick("click")).select_columns(
         ["event_id", "user_id", "ts"])
-    errors = ev.map_batches(pick("error"), batch_format="pyarrow",
-                            runtime_env=_env()).select_columns(
+    errors = map_batches(ev, pick("error")).select_columns(
         ["user_id", "ts", "value"])
     modes, eids, vals = [], [], []
     for mode, tol in (("plain", None), ("tol30m", "30m")):
@@ -1883,11 +1850,9 @@ def _asof_last_error(sf_dir: str):
             return batch.filter(pc.equal(batch.column("event_type"), kind))
         return f
 
-    clicks = ev.map_batches(pick("click"), batch_format="pyarrow",
-                            runtime_env=_env()).select_columns(
+    clicks = map_batches(ev, pick("click")).select_columns(
         ["event_id", "user_id", "ts"])
-    errors = ev.map_batches(pick("error"), batch_format="pyarrow",
-                            runtime_env=_env()).select_columns(
+    errors = map_batches(ev, pick("error")).select_columns(
         ["user_id", "ts", "value"])
     out = asof_join(clicks, errors, on="ts", by="user_id",
                     right_cols=["value"])
@@ -2012,12 +1977,11 @@ def _setop_custkeys(sf_dir: str, op: str):
     from plugin_serdes_ray.pipelines.relational import set_op
 
     left = _read(sf_dir, "customer").select_columns(["c_custkey"])
-    right = (_read(sf_dir, "orders")
-             .select_columns(["o_custkey", "o_totalprice"])
-             .map_batches(lambda b: b.filter(
-                 pc.greater_equal(b.column("o_totalprice"), 300000.0))
-                 .select(["o_custkey"]), batch_format="pyarrow",
-                 runtime_env=_env()))
+    right = map_batches(
+        _read(sf_dir, "orders").select_columns(["o_custkey", "o_totalprice"]),
+        lambda b: b.filter(
+            pc.greater_equal(b.column("o_totalprice"), 300000.0))
+        .select(["o_custkey"]))
     out = set_op(left, right, op)
     return pa.Table.from_pylist(out.take_all()).sort_by("c_custkey")
 
@@ -2089,8 +2053,7 @@ def _pii_redact_documents(sf_dir: str):
     from plugin_serdes_ray.pipelines.textstats import pii_redact
 
     ds = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
-    out = ds.map_batches(pii_redact, batch_format="pyarrow",
-                         runtime_env=_env())
+    out = map_batches(ds, pii_redact)
     return pa.Table.from_pylist(out.take_all()).sort_by("doc_id")
 
 
@@ -2100,8 +2063,7 @@ def _repetition_ratio_documents(sf_dir: str):
     from plugin_serdes_ray.pipelines.textstats import repetition_ratio
 
     ds = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
-    out = ds.map_batches(repetition_ratio, batch_format="pyarrow",
-                         runtime_env=_env())
+    out = map_batches(ds, repetition_ratio)
     return pa.Table.from_pylist(out.take_all()) \
         .select(["doc_id", "rep_line_ratio"]).sort_by("doc_id")
 
@@ -2197,12 +2159,10 @@ def _normalize_nfc_documents(sf_dir: str):
                                                        normalize_text)
 
     ds = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
-    nfc = ds.map_batches(lambda b: normalize_text(b, "text", form="NFC"),
-                         batch_format="pyarrow", runtime_env=_env())
-    can = ds.map_batches(
-        lambda b: canonicalize_text(b, "text").drop_columns(["text"])
-        .rename_columns(["doc_id", "text"]),
-        batch_format="pyarrow", runtime_env=_env())
+    nfc = map_batches(ds, lambda b: normalize_text(b, "text", form="NFC"))
+    can = map_batches(
+        ds, lambda b: canonicalize_text(b, "text").drop_columns(["text"])
+            .rename_columns(["doc_id", "text"]))
     rows = sorted([("nfc", r["doc_id"], r["text"])
                    for r in nfc.take_all()]
                   + [("canonical", r["doc_id"], r["text"])
@@ -2426,7 +2386,7 @@ def _html_to_text(sf_dir: str):
         return pa.table({"doc_id": batch.column("doc_id"),
                          "extracted_text": pa.array(out, type=pa.string())})
 
-    return ds.map_batches(xf, batch_format="pyarrow", runtime_env=_env())
+    return map_batches(ds, xf)
 
 
 def _markdown_roundtrip(sf_dir: str):
@@ -2444,7 +2404,7 @@ def _markdown_roundtrip(sf_dir: str):
         return pa.table({"doc_id": batch.column("doc_id"),
                          "extracted_text": pa.array(out, type=pa.string())})
 
-    return ds.map_batches(xf, batch_format="pyarrow", runtime_env=_env())
+    return map_batches(ds, xf)
 
 
 def _doc_transforms_text(sf_dir: str):
@@ -2469,10 +2429,8 @@ def _doc_transforms_text(sf_dir: str):
                                    pa.array([name] * b.num_rows))
         return f
 
-    h = _html_to_text(sf_dir).map_batches(
-        tag("html"), batch_format="pyarrow", runtime_env=_env())
-    m = _markdown_roundtrip(sf_dir).map_batches(
-        tag("markdown"), batch_format="pyarrow", runtime_env=_env())
+    h = map_batches(_html_to_text(sf_dir), tag("html"))
+    m = map_batches(_markdown_roundtrip(sf_dir), tag("markdown"))
     out = h.union(m)
 
     # the synthetic corpus has no naturally repeated lines, so inject
@@ -2494,18 +2452,15 @@ def _doc_transforms_text(sf_dir: str):
             pa.scalar("\n", type=txt.type))
         return pa.table({"doc_id": ids, "text": body})
 
-    docs = _read(sf_dir, "documents").select_columns(
-        ["doc_id", "text"]).map_batches(
-        inject, batch_format="pyarrow", runtime_env=_env())
+    def as_extracted(b: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": b.column("doc_id"),
+                         "extracted_text": b.column("text")})
+
+    docs = map_batches(
+        _read(sf_dir, "documents").select_columns(["doc_id", "text"]), inject)
     for mode in ("none", "first"):
-        arm = paragraph_dedup(docs, keep=mode).map_batches(
-            lambda b: pa.table({
-                "doc_id": b.column("doc_id"),
-                "extracted_text": b.column("text")}),
-            batch_format="pyarrow", runtime_env=_env()).map_batches(
-            tag(f"pdedup_{mode}"), batch_format="pyarrow",
-            runtime_env=_env())
-        out = out.union(arm)
+        arm = map_batches(paragraph_dedup(docs, keep=mode), as_extracted)
+        out = out.union(map_batches(arm, tag(f"pdedup_{mode}")))
 
     # intra-doc arm: a NAV line injected twice PER DOC (doc_id % 7 makes
     # it also shared across docs — which must NOT matter to this scope)
@@ -2525,16 +2480,11 @@ def _doc_transforms_text(sf_dir: str):
             pa.scalar("\n", type=txt.type))
         return pa.table({"doc_id": ids, "text": body})
 
-    docs2 = _read(sf_dir, "documents").select_columns(
-        ["doc_id", "text"]).map_batches(
-        inject_doc, batch_format="pyarrow", runtime_env=_env())
-    arm = paragraph_dedup_doc(docs2).map_batches(
-        lambda b: pa.table({
-            "doc_id": b.column("doc_id"),
-            "extracted_text": b.column("text")}),
-        batch_format="pyarrow", runtime_env=_env()).map_batches(
-        tag("pdedup_doc"), batch_format="pyarrow", runtime_env=_env())
-    return out.union(arm)
+    docs2 = map_batches(
+        _read(sf_dir, "documents").select_columns(["doc_id", "text"]),
+        inject_doc)
+    arm = map_batches(paragraph_dedup_doc(docs2), as_extracted)
+    return out.union(map_batches(arm, tag("pdedup_doc")))
 
 
 def _jsonl_bridge(sf_dir: str, table: str) -> pa.Table:
@@ -2787,8 +2737,7 @@ def _video_frame_chain(sf_dir: str):
             "frame_no": pa.array(frame_no, type=pa.int64()),
             "image": flat})
 
-    frames = sampled.map_batches(explode, batch_format="pyarrow",
-                                 runtime_env=_env())
+    frames = map_batches(sampled, explode)
     rows = image_stats(frames, concurrency=2).take_all()
     rows.sort(key=lambda r: (r["doc_id"], r["frame_no"]))
     return pa.table({
@@ -2856,8 +2805,7 @@ def _semi_join_orders(sf_dir: str, anti: bool = False, bloom: bool = False):
         return batch.filter(pc.equal(batch.column("c_mktsegment"),
                                      "AUTOMOBILE"))
 
-    cust = _read(sf_dir, "customer").map_batches(
-        auto, batch_format="pyarrow", runtime_env=_env()).select_columns(
+    cust = map_batches(_read(sf_dir, "customer"), auto).select_columns(
         ["c_custkey"])
     if bloom:
         out = bloom_semi_join(orders, cust, "o_custkey",
@@ -3037,10 +2985,9 @@ def _heavy_hitter_langs(sf_dir: str):
 
     docs = _read(sf_dir, "documents").select_columns(["lang"])
     hh = heavy_hitters(docs, "lang", 0.05)
-    src = (_read(sf_dir, "documents").select_columns(["source", "lang"])
-           .map_batches(lambda b: b.filter(
-               pc.is_valid(b.column("source"))), batch_format="pyarrow",
-               runtime_env=_env()))
+    src = map_batches(
+        _read(sf_dir, "documents").select_columns(["source", "lang"]),
+        lambda b: b.filter(pc.is_valid(b.column("source"))))
     md = pa.Table.from_pylist(
         grouped_mode(src, "source", "lang").take_all())
     hh = hh.add_column(0, "tag", pa.array(["hh"] * hh.num_rows)) \
@@ -3082,8 +3029,7 @@ def _url_host_stats_documents(sf_dir: str):
             ".example.com/", b.column("doc_id").cast(pa.string()), "")
         return pa.table({"url": url, "n_chars": b.column("n_chars")})
 
-    ds = add_url_host(docs.map_batches(make_url, batch_format="pyarrow",
-                                       runtime_env=_env()))
+    ds = add_url_host(map_batches(docs, make_url))
     out = grouped_aggregate(ds, ["host"], sum_cols=["n_chars"])
     rows = sorted((r["host"], r["sum_n_chars"], r["n"])
                   for r in out.take_all())
@@ -3140,8 +3086,7 @@ def _canonical_urls_documents(sf_dir: str):
         url = j("https://", host, port, path, q, gcl, frag, "")
         return pa.table({"doc_id": d, "url": url})
 
-    ds = canonicalize_url_dataset(
-        docs.map_batches(messy, batch_format="pyarrow", runtime_env=_env()))
+    ds = canonicalize_url_dataset(map_batches(docs, messy))
     out = window_functions(ds, "url_canonical", "doc_id",
                            {"canon_id": ("first_value", "doc_id")})
     rows = sorted((r["doc_id"], r["url_canonical"], r["canon_id"])
@@ -3184,8 +3129,7 @@ def _contamination_documents(sf_dir: str):
                                            pa.scalar(50, pa.int64())))
         return b.filter(pc.equal(mod, pa.scalar(0, pa.int64())))
 
-    bench = docs.map_batches(pick_bench, batch_format="pyarrow",
-                             runtime_env=_env())
+    bench = map_batches(docs, pick_bench)
     out = contamination_overlap(docs, bench, n=8)
     rows = sorted((r["doc_id"], r["n_grams"], r["n_overlap"])
                   for r in out.take_all())
@@ -3224,9 +3168,8 @@ def _gopher_signals_documents(sf_dir: str):
                                                        gopher_signals)
 
     ds = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
-    out = ds.map_batches(
-        lambda b: gopher_filter(gopher_signals(b)).drop_columns(["text"]),
-        batch_format="pyarrow", runtime_env=_env())
+    out = map_batches(
+        ds, lambda b: gopher_filter(gopher_signals(b)).drop_columns(["text"]))
     return pa.Table.from_pylist(out.take_all()).sort_by("doc_id")
 
 
@@ -3428,10 +3371,8 @@ def _textstats_scalars(sf_dir: str):
                                                        token_counts)
 
     ds = _read(sf_dir, "documents").select_columns(["doc_id", "text"])
-    out = (ds.map_batches(lambda b: token_counts(b, bpe=False),
-                          batch_format="pyarrow", runtime_env=_env())
-             .map_batches(lambda b: quality_scores(b),
-                          batch_format="pyarrow", runtime_env=_env()))
+    counted = map_batches(ds, lambda b: token_counts(b, bpe=False))
+    out = map_batches(counted, lambda b: quality_scores(b))
     rows = out.select_columns(["doc_id", "ws_tokens", "q_length"]).take_all()
     return pa.table({
         "doc_id": pa.array([r["doc_id"] for r in rows], type=pa.int64()),
@@ -3582,8 +3523,7 @@ def _pagerank_documents(sf_dir: str):
         dst = np.concatenate([(ids * 7 + 3) % n, (ids * 13 + 5) % n])
         return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
 
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow",
-                             runtime_env=_env())
+    edges = map_batches(docs, mk_edges)
     rows = sorted((r["v"], round(r["rank"], 9))
                   for r in pagerank(edges, iters=3).take_all())
     return pa.table({
@@ -3638,10 +3578,8 @@ def _corpus_diff_documents(sf_dir: str):
                 keep, type=pa.int64())))
         return f
 
-    old = docs.map_batches(third([0, 1]), batch_format="pyarrow",
-                           runtime_env=_env())
-    new = docs.map_batches(third([1, 2]), batch_format="pyarrow",
-                           runtime_env=_env())
+    old = map_batches(docs, third([0, 1]))
+    new = map_batches(docs, third([1, 2]))
     out = corpus_diff(old, new, "text", "doc_id")
     rows = sorted((r["side"], r["doc_id"]) for r in out.take_all())
     return pa.table({
@@ -3752,15 +3690,14 @@ def _setop_custkeys_all(sf_dir: str, op: str):
 
     from plugin_serdes_ray.pipelines.relational import set_op
 
-    left = (_read(sf_dir, "orders").select_columns(["o_custkey"])
-            .map_batches(lambda b: b.rename_columns(["c_custkey"]),
-                         batch_format="pyarrow", runtime_env=_env()))
-    right = (_read(sf_dir, "orders")
-             .select_columns(["o_custkey", "o_totalprice"])
-             .map_batches(lambda b: b.filter(
-                 pc.greater_equal(b.column("o_totalprice"), 300000.0))
-                 .select(["o_custkey"]), batch_format="pyarrow",
-                 runtime_env=_env()))
+    left = map_batches(
+        _read(sf_dir, "orders").select_columns(["o_custkey"]),
+        lambda b: b.rename_columns(["c_custkey"]))
+    right = map_batches(
+        _read(sf_dir, "orders").select_columns(["o_custkey", "o_totalprice"]),
+        lambda b: b.filter(
+            pc.greater_equal(b.column("o_totalprice"), 300000.0))
+        .select(["o_custkey"]))
     out = set_op(left, right, op)
     return pa.Table.from_pylist(out.take_all()).sort_by("c_custkey")
 

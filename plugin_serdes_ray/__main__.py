@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+from .util import map_batches
+
 
 def _ray():
     import ray
@@ -335,7 +337,6 @@ def cmd_dedup(args) -> int:
 
         from .pipelines.dedup import semdedup
         from .pipelines.relational import semi_join
-        from .util import package_runtime_env
 
         # same contract as exact/minhash: OUTPUT IS THE DEDUPED CORPUS.
         # semdedup() itself returns a per-row keep/dup_of annotation, so
@@ -346,9 +347,8 @@ def cmd_dedup(args) -> int:
         flags = semdedup(ds, threshold=thr, k=args.clusters,
                          iters=args.iters, vector_column=args.column,
                          id_column=args.id_column)
-        kept = flags.map_batches(
-            lambda t: t.filter(t.column("keep")).select([args.id_column]),
-            batch_format="pyarrow", runtime_env=package_runtime_env())
+        kept = map_batches(flags, lambda t: t.filter(
+            t.column("keep")).select([args.id_column]))
         out = semi_join(ds, kept, args.id_column)
     elif args.method == "spans":
         # exact-substring REMOVAL: every row survives with duplicated

@@ -11,9 +11,9 @@ Two write paths (SURVEY.md §7.2):
   partitions one by one, each into its own part file and manifest entry.
 
 - :func:`encode_dataset` — the fully streaming path for arbitrary Datasets
-  (output of upstream transforms): ``ds.map_batches(EncodeBlock)`` writes one
-  container file per block with no driver materialization. Not resumable
-  (block ids are not stable across runs) but pipelined end to end.
+  (output of upstream transforms): ``util.map_batches(ds, EncodeBlock)``
+  writes one container file per block with no driver materialization. Not
+  resumable (block ids are not stable across runs) but pipelined end to end.
 
 Decode is a Dataset again: one task and one block per kept partition file
 (never packed — callers may rely on a block per part); a read whose every
@@ -39,7 +39,7 @@ from .container import (
     ChunkCorruption, _outer_decompress, bloom_hashes, bloom_may_contain,
     header_schema, output_schema, partition_codec_report, read_header,
     read_partition, temporal_type_from_tag, write_partition)
-from .util import file_stamp as _fingerprint, package_runtime_env
+from .util import file_stamp as _fingerprint, map_batches
 from .plan import EncodePlan, build_plan
 from .state import checkpoint
 
@@ -177,10 +177,10 @@ def _run_task_stage(items: list[dict], fn, fn_kwargs: dict,
     if concurrency is None:
         concurrency = max(int(ray.cluster_resources().get("CPU", 8)), 1)
     runs = min(len(items), _TASKS_PER_CPU * concurrency)
-    return ray.data.from_items(items, override_num_blocks=runs).map_batches(
-        fn, fn_kwargs=fn_kwargs, batch_size=None, batch_format=batch_format,
-        concurrency=min(concurrency, runs), num_cpus=1,
-        runtime_env=package_runtime_env()).take_all()
+    return map_batches(
+        ray.data.from_items(items, override_num_blocks=runs), fn,
+        fn_kwargs=fn_kwargs, batch_size=None, batch_format=batch_format,
+        concurrency=min(concurrency, runs), num_cpus=1).take_all()
 
 
 def _read_input(path: str, rg_start: int, rg_end: int,
@@ -224,10 +224,13 @@ def encode_shard_batch(batch: dict, *, plan: EncodePlan, out_dir: str,
         t0 = time.perf_counter()
         table = _read_input(str(path), rg_start, rg_end, columns)
         out_name = f"part-{part_id:05d}.grck"
+        # the header names its input by basename (the manifest keeps the
+        # full path): the same shard writes the same bytes from any checkout
         metrics = write_partition(
             table, os.path.join(out_dir, out_name),
             plan.codecs, plan.context(),
-            extra_meta={"part_id": part_id, "input": str(path),
+            extra_meta={"part_id": part_id,
+                        "input": os.path.basename(str(path)),
                         "rg_range": [rg_start, rg_end]},
         )
         secs = time.perf_counter() - t0
@@ -322,6 +325,26 @@ class EncodeBlock:
         })
 
 
+def sample_dataset(ds: "Any", sample_rows: int, seed: int) -> pa.Table:
+    """Plan sample of a Dataset, drawn ACROSS the input and kept in Arrow.
+
+    ``randomize_block_order`` is a metadata-only shuffle of block order, so
+    the ``limit()`` draws from blocks spread over the whole input instead of
+    its head (on a sorted/clustered corpus the head is not the data; same
+    fix as ``sample_plan_from_files``, VERDICT r1/r2 #6). The blocks come
+    back as Arrow tables, so the sample keeps the input's own column types:
+    a round trip through Python rows would turn ``int8`` into ``int64``,
+    ``timestamp[ns]`` into ``timestamp[us]`` and ``large_binary`` into
+    ``binary``. An empty input gives a table without columns."""
+    import ray
+
+    refs = ds.randomize_block_order(seed=seed).limit(
+        sample_rows).to_arrow_refs()
+    tables = [t for t in ray.get(refs) if t.num_rows]
+    return pa.concat_tables(tables).combine_chunks() if tables \
+        else pa.table({})
+
+
 def encode_dataset(ds: "Any", out_dir: str, *,
                    plan: Optional[EncodePlan] = None,
                    sample_rows: int = 50_000,
@@ -339,27 +362,19 @@ def encode_dataset(ds: "Any", out_dir: str, *,
         if f.startswith("block-") and f.endswith(".grck"):
             os.remove(os.path.join(out_dir, f))
     if plan is None:
-        # randomize_block_order is a metadata-only shuffle of block order:
-        # the sample sees scattered blocks, not the head of the stream
-        # (same head-bias fix as sample_plan_from_files, VERDICT r1)
-        sample = ds.randomize_block_order(seed=17).limit(
-            sample_rows).to_arrow_refs()
-        tables = [t for t in ray.get(sample) if t.num_rows]
-        if not tables:
+        sample = sample_dataset(ds, sample_rows, seed=17)
+        if not sample.num_rows:
             raise ValueError(
                 "encode_dataset: input dataset is empty — cannot sample an "
                 "encode plan (pass plan= explicitly to encode empty inputs)")
-        plan = build_plan(pa.concat_tables(tables).combine_chunks(),
-                          outer_level=outer_level)
+        plan = build_plan(sample, outer_level=outer_level)
     plan_ref = ray.put(plan)
-    stats = ds.map_batches(
-        EncodeBlock,
+    stats = map_batches(
+        ds, EncodeBlock,
         fn_constructor_args=(plan_ref, out_dir),
         batch_size=batch_rows,
-        batch_format="pyarrow",
         concurrency=concurrency or 8,
         num_cpus=1,
-        runtime_env=package_runtime_env(),
     ).take_all()
     raw = sum(r["raw_bytes"] for r in stats)
     enc = sum(r["enc_bytes"] for r in stats)
@@ -505,7 +520,8 @@ def compact_bin_batch(batch: dict, *, plan: EncodePlan, src_dir: str,
             metrics = write_partition(
                 table, dst_path, plan.codecs, plan.context(),
                 extra_meta={"part_id": part_id, "inputs": names,
-                            "compacted_from": src_dir},
+                            "compacted_from": os.path.basename(
+                                os.path.normpath(src_dir))},
             )
             metrics = {k: metrics[k] for k in _METRIC_KEYS}
         checkpoint.write_manifest_entry(dst_dir, part_id, {
@@ -1097,17 +1113,15 @@ def decode_dataset(out_dir, columns: Optional[list[str]] = None,
             # here instead of in a Ray task
             return ray.data.from_blocks([schema.empty_table()])
     ds = ray.data.from_items([{"path": f} for f in files])
-    return ds.map_batches(
-        decode_part_batch,
+    return map_batches(
+        ds, decode_part_batch,
         fn_kwargs={"columns": columns, "predicate": predicate,
                    "target_schema": target_schema, "defaults": defaults,
                    "renames": renames, "safe_cast": safe_cast,
                    "dictionary_columns": dictionary_columns},
         batch_size=1,
-        batch_format="pyarrow",
         concurrency=min(concurrency or 8, max(len(files), 1)),
         num_cpus=1,
-        runtime_env=package_runtime_env(),
     )
 
 

@@ -26,6 +26,8 @@ from typing import Any, Iterable, Optional
 
 import pyarrow as pa
 
+from ..util import map_batches
+
 # internal type lattice: a "tnode" is one of
 #   {"kind": "null"}
 #   {"kind": "prim", "name": "int"|"long"|"double"|"boolean"|"string"|"bytes"
@@ -280,10 +282,7 @@ def infer_schema_dataset(ds, number_of_rows_to_scan: int = 100,
             t = infer_rows(rows, infer_all_fields=True)
             return {"t": [json.dumps(t)]}
 
-        from ..util import package_runtime_env
-
-        parts = ds.map_batches(partial, batch_format="pyarrow",
-                               runtime_env=package_runtime_env())
+        parts = map_batches(ds, partial)
         merged = None
         for row in parts.take_all():  # one tiny row per input block
             t = json.loads(row["t"])

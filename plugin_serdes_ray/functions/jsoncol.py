@@ -16,7 +16,7 @@ from typing import Optional
 
 import pyarrow as pa
 
-from ..util import package_runtime_env
+from ..util import map_batches
 from .coerce import CoerceOptions, coerce_column
 
 try:                                    # optional faster parser
@@ -66,6 +66,5 @@ def extract_json_fields(batch: pa.Table, column: str,
 def parse_json_column(ds, column: str, fields: dict[str, pa.DataType],
                       opts: Optional[CoerceOptions] = None, prefix: str = ""):
     """Dataset version: streaming map_batches, no shuffle."""
-    return ds.map_batches(
-        lambda b: extract_json_fields(b, column, fields, opts, prefix),
-        batch_format="pyarrow", runtime_env=package_runtime_env())
+    return map_batches(
+        ds, lambda b: extract_json_fields(b, column, fields, opts, prefix))

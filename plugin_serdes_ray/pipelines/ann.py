@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env, vectors_to_numpy
+from ..util import map_batches, map_groups, vectors_to_numpy
 
 
 def _unit(m: np.ndarray) -> np.ndarray:
@@ -107,8 +107,7 @@ def knn_brute(ds, queries: np.ndarray, query_ids: Optional[list[int]] = None,
     # collect the per-block Arrow tables directly — take_all()+from_pylist
     # boxed O(blocks*k*q) rows through Python dicts right before the
     # vectorized merge (review r4)
-    refs = ds.map_batches(partial, batch_format="pyarrow", batch_size=4096,
-                          runtime_env=package_runtime_env()).to_arrow_refs()
+    refs = map_batches(ds, partial, batch_size=4096).to_arrow_refs()
     tables = [t for t in _ray.get(refs) if t.num_rows]
     return _topk_merge(tables, k)
 
@@ -206,9 +205,8 @@ def build_ivf_index(ds, index_dir: str, n_clusters: int = 16,
             return pa.table({id_column: t.column(id_column),
                              vector_column: arr})
 
-        unit_ds = ds.select_columns([id_column, vector_column]).map_batches(
-            unit_rows, batch_format="pyarrow",
-            runtime_env=package_runtime_env())
+        unit_ds = map_batches(
+            ds.select_columns([id_column, vector_column]), unit_rows)
         res = distributed_kmeans(unit_ds, n_clusters,
                                  iters=quantizer_iters,
                                  vector_column=vector_column,
@@ -253,12 +251,8 @@ def build_ivf_index(ds, index_dir: str, n_clusters: int = 16,
         return pa.table({"cluster": pa.array([cluster], type=pa.int64()),
                          "rows": pa.array([group.num_rows], type=pa.int64())})
 
-    parts = (ds.map_batches(assign, batch_format="pyarrow",
-                            runtime_env=package_runtime_env())
-             .groupby("__ivf")
-             .map_groups(write_list, batch_format="pyarrow",
-                         runtime_env=package_runtime_env())
-             .take_all())
+    parts = map_groups(map_batches(ds, assign).groupby("__ivf"),
+                       write_list).take_all()
     np.save(os.path.join(index_dir, "centroids.npy"), centers)
     meta = {"n_clusters": int(len(centers)), "sub_splits": sub_splits,
             "rows": int(sum(r["rows"] for r in parts)),
@@ -405,7 +399,6 @@ def pq_encode(ds, codebooks: np.ndarray,
     if ncodes > 256:
         raise ValueError("pq_encode packs codes into uint8: n_codes <= 256")
     ref = ray.put(books)
-    env = package_runtime_env()
 
     def enc(t: pa.Table) -> pa.Table:
         bb = ray.get(ref)
@@ -438,7 +431,7 @@ def pq_encode(ds, codebooks: np.ndarray,
         return t.append_column(out_column, pa.FixedSizeListArray.from_arrays(
             pa.array(codes.reshape(-1), type=pa.uint8()), m))
 
-    return ds.map_batches(enc, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds, enc)
 
 
 def knn_pq(ds_codes, codebooks: np.ndarray, queries: np.ndarray,
@@ -477,7 +470,6 @@ def knn_pq(ds_codes, codebooks: np.ndarray, queries: np.ndarray,
             raise ValueError(f"unknown metric {metric!r}")
     sign = 1.0 if metric == "ip" else -1.0
     ref = ray.put((luts, qids))
-    env = package_runtime_env()
 
     def partial(batch: pa.Table) -> pa.Table:
         from ..util import drop_null_vector_rows
@@ -511,10 +503,7 @@ def knn_pq(ds_codes, codebooks: np.ndarray, queries: np.ndarray,
 
     import ray as _ray
 
-    refs = ds_codes.map_batches(partial, batch_format="pyarrow",
-                                batch_size=4096,
-                                runtime_env=package_runtime_env()
-                                ).to_arrow_refs()
+    refs = map_batches(ds_codes, partial, batch_size=4096).to_arrow_refs()
     tables = [t for t in _ray.get(refs) if t.num_rows]
     return _topk_merge(tables, k)
 
@@ -624,12 +613,8 @@ def build_ivfpq_index(ds, index_dir: str, n_clusters: int = 16, *,
                          "rows": pa.array([group.num_rows],
                                           type=pa.int64())})
 
-    parts = (ds.map_batches(assign_encode, batch_format="pyarrow",
-                            runtime_env=package_runtime_env())
-             .groupby("__ivf")
-             .map_groups(write_list, batch_format="pyarrow",
-                         runtime_env=package_runtime_env())
-             .take_all())
+    parts = map_groups(map_batches(ds, assign_encode).groupby("__ivf"),
+                       write_list).take_all()
     np.save(os.path.join(index_dir, "centroids.npy"), centers)
     np.save(os.path.join(index_dir, "codebooks.npy"), books)
     meta = {"n_clusters": int(len(centers)), "sub_splits": sub_splits,

@@ -46,7 +46,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import grouped_rename_positional, package_runtime_env
+from ..util import grouped_rename_positional, map_batches
 
 SEP = "\x1f"
 
@@ -73,15 +73,14 @@ def word_histogram(ds, column: str = "text"):
         return pa.table({"word": vc.field(0),
                          "__w": vc.field(1).cast(pa.int64())})
 
-    env = package_runtime_env()
-    g = (ds.map_batches(partial, batch_format="pyarrow", runtime_env=env)
+    g = (map_batches(ds, partial)
            .groupby("word").aggregate(Sum("__w")))
 
     def rename(batch: pa.Table) -> pa.Table:
         return pa.table({"word": batch.column("word"),
                          "n": batch.column("sum(__w)").cast(pa.int64())})
 
-    return g.map_batches(rename, batch_format="pyarrow", runtime_env=env)
+    return map_batches(g, rename)
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +130,18 @@ def pair_counts(hist, sym_col: str = "sym"):
     ``left + SEP + right``; exposed for the oracle-checked query."""
     from ray.data.aggregate import Sum
 
-    env = package_runtime_env()
     src = hist
     if sym_col != "sym":
-        src = src.map_batches(
-            lambda b: pa.table({"sym": b.column(sym_col), "n": b.column("n")}),
-            batch_format="pyarrow", runtime_env=env)
-    g = (src.map_batches(_sym_pairs_partial, batch_format="pyarrow",
-                         runtime_env=env)
+        src = map_batches(src, lambda b: pa.table(
+            {"sym": b.column(sym_col), "n": b.column("n")}))
+    g = (map_batches(src, _sym_pairs_partial)
             .groupby("pair").aggregate(Sum("__w")))
 
     def rename(batch: pa.Table) -> pa.Table:
         return pa.table({"pair": batch.column("pair"),
                          "cnt": batch.column("sum(__w)").cast(pa.int64())})
 
-    return g.map_batches(rename, batch_format="pyarrow", runtime_env=env)
+    return map_batches(g, rename)
 
 
 def _pair_key(p: str) -> tuple[str, str]:
@@ -176,8 +172,7 @@ def _best_pair(counts) -> Optional[tuple[str, str, int]]:
         i = min(range(len(tied)), key=lambda j: _pair_key(tied[j]))
         return sub.slice(i, 1)
 
-    rows = counts.map_batches(block_best, batch_format="pyarrow",
-                              runtime_env=package_runtime_env()).take_all()
+    rows = map_batches(counts, block_best).take_all()
     if not rows:
         return None
     best = min(rows, key=lambda r: (-r["cnt"], _pair_key(r["pair"])))
@@ -241,8 +236,7 @@ def symbolize(hist):
             "sym": pa.array([SEP.join(w) for w in words], type=pa.string()),
             "n": batch.column("n").cast(pa.int64())})
 
-    return hist.map_batches(init, batch_format="pyarrow",
-                            runtime_env=package_runtime_env())
+    return map_batches(hist, init)
 
 
 def bpe_train(ds, column: str = "text", n_merges: int = 100,
@@ -257,7 +251,6 @@ def bpe_train(ds, column: str = "text", n_merges: int = 100,
     remain (all words are single symbols)."""
     hist = symbolize(word_histogram(ds, column)).materialize()
     merges: list[tuple[str, str]] = []
-    env = package_runtime_env()
     for _ in range(n_merges):
         counts = pair_counts(hist)
         best = _best_pair(counts)
@@ -267,9 +260,8 @@ def bpe_train(ds, column: str = "text", n_merges: int = 100,
         if cnt < min_count:
             break
         merges.append((a, b))
-        hist = hist.map_batches(
-            lambda batch, a=a, b=b: _apply_merge(batch, a, b),
-            batch_format="pyarrow", runtime_env=env).materialize()
+        hist = map_batches(hist, lambda batch, a=a, b=b: _apply_merge(
+            batch, a, b)).materialize()
     return merges
 
 
@@ -303,8 +295,8 @@ class BpeEncoder:
     row-sort compare).  Ranks built once per actor; per-word memo cache
     bounds the merge loop to once per distinct word per actor.
 
-    Use: ``ds.map_batches(BpeEncoder, fn_constructor_kwargs={"merges":
-    merges}, concurrency=N, batch_format="pyarrow", runtime_env=...)``.
+    Use: ``util.map_batches(ds, BpeEncoder, fn_constructor_kwargs={"merges":
+    merges}, concurrency=N)``.
     """
 
     def __init__(self, merges: Sequence[tuple[str, str]],
@@ -352,12 +344,11 @@ def bpe_token_counts(ds, merges: Sequence[tuple[str, str]],
                      column: str = "text", out_col: str = "n_bpe_tokens",
                      concurrency: int = 4):
     """Corpus pass appending the trained-tokenizer token count per row."""
-    return ds.map_batches(
-        BpeEncoder, fn_constructor_kwargs={
+    return map_batches(
+        ds, BpeEncoder, fn_constructor_kwargs={
             "merges": [tuple(m) for m in merges], "column": column,
             "out_col": out_col},
-        concurrency=concurrency, batch_format="pyarrow",
-        runtime_env=package_runtime_env())
+        concurrency=concurrency)
 
 
 def token_histogram(ds, merges: Sequence[tuple[str, str]],
@@ -398,16 +389,13 @@ def token_histogram(ds, merges: Sequence[tuple[str, str]],
             g = t_.group_by("token").aggregate([("__w", "sum")])
             return grouped_rename_positional(g, ["token"], ["__w"])
 
-    env = package_runtime_env()
-    g = (ds.map_batches(
-            Hist, fn_constructor_kwargs={
-                "merges": [tuple(m) for m in merges], "column": column},
-            concurrency=concurrency, batch_format="pyarrow",
-            runtime_env=env)
-           .groupby("token").aggregate(Sum("__w")))
+    hist = map_batches(ds, Hist, fn_constructor_kwargs={
+        "merges": [tuple(m) for m in merges], "column": column},
+        concurrency=concurrency)
+    g = hist.groupby("token").aggregate(Sum("__w"))
 
     def rename(batch: pa.Table) -> pa.Table:
         return pa.table({"token": batch.column("token"),
                          "n": batch.column("sum(__w)").cast(pa.int64())})
 
-    return g.map_batches(rename, batch_format="pyarrow", runtime_env=env)
+    return map_batches(g, rename)

@@ -48,7 +48,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import grouped_rename_positional, package_runtime_env
+from ..util import grouped_rename_positional, map_batches
 
 
 @dataclass
@@ -116,13 +116,10 @@ def nb_train(ds, column: str = "text", label_column: str = "lang",
     for the scale shape and determinism contracts."""
     from ray.data.aggregate import Sum
 
-    env = package_runtime_env()
-
     # --- (label, token) counts: block partials + ONE keyed shuffle ---
-    cnt = (ds.select_columns([label_column, column])
-             .map_batches(_label_token_partial(column, label_column),
-                          batch_format="pyarrow", runtime_env=env)
-             .groupby(["label", "token"]).aggregate(Sum("__w")))
+    cnt = map_batches(ds.select_columns([label_column, column]),
+                      _label_token_partial(column, label_column))
+    cnt = cnt.groupby(["label", "token"]).aggregate(Sum("__w"))
 
     def cnt_finish(t: pa.Table) -> pa.Table:
         return pa.table({"label": t.column("label"),
@@ -132,14 +129,11 @@ def nb_train(ds, column: str = "text", label_column: str = "lang",
     # vocabulary-sized; consumed four times (doc counts, totals, top-V,
     # vocab fetch). token = "" rows are the per-label DOCUMENT counts
     # (priors); real-token consumers filter them out below.
-    cnt = cnt.map_batches(cnt_finish, batch_format="pyarrow",
-                          runtime_env=env).materialize()
-    docs = {r["label"]: int(r["c"]) for r in cnt.map_batches(
-        lambda t: t.filter(pc.equal(t.column("token"), "")),
-        batch_format="pyarrow", runtime_env=env).take_all()}
-    cnt = cnt.map_batches(
-        lambda t: t.filter(pc.not_equal(t.column("token"), "")),
-        batch_format="pyarrow", runtime_env=env)
+    cnt = map_batches(cnt, cnt_finish).materialize()
+    docs = {r["label"]: int(r["c"]) for r in map_batches(
+        cnt, lambda t: t.filter(pc.equal(t.column("token"), ""))).take_all()}
+    cnt = map_batches(
+        cnt, lambda t: t.filter(pc.not_equal(t.column("token"), "")))
 
     # --- per-label token totals + per-token totals (both tiny) ---
     def tot_partial(t: pa.Table) -> pa.Table:
@@ -148,8 +142,7 @@ def nb_train(ds, column: str = "text", label_column: str = "lang",
         return grouped_rename_positional(g, ["label"], ["__t"]).select(
             ["label", "__t"])
 
-    tot_rows = (cnt.map_batches(tot_partial, batch_format="pyarrow",
-                                runtime_env=env)
+    tot_rows = (map_batches(cnt, tot_partial)
                    .groupby("label").aggregate(Sum("__t")).take_all())
     totals = {r["label"]: int(r["sum(__t)"]) for r in tot_rows}
 
@@ -174,14 +167,11 @@ def nb_train(ds, column: str = "text", label_column: str = "lang",
         return grouped_rename_positional(g, ["token"], ["__t"]).select(
             ["token", "__t"])
 
-    tv = (cnt.map_batches(tok_partial, batch_format="pyarrow",
-                          runtime_env=env)
+    tv = (map_batches(cnt, tok_partial)
              .groupby("token").aggregate(Sum("__t")))
-    tv = tv.map_batches(
-        lambda t: topv_block(pa.table({
-            "token": t.column("token"),
-            "__t": t.column("sum(__t)").cast(pa.int64())})),
-        batch_format="pyarrow", runtime_env=env)
+    tv = map_batches(tv, lambda t: topv_block(pa.table({
+        "token": t.column("token"),
+        "__t": t.column("sum(__t)").cast(pa.int64())})))
     tv_rows = tv.take_all()   # O(V · blocks)
     tv_rows.sort(key=lambda r: (-r["__t"], r["token"]))
     vocab_list = [r["token"] for r in tv_rows[:vocab_size]]
@@ -196,8 +186,7 @@ def nb_train(ds, column: str = "text", label_column: str = "lang",
         return t.filter(pc.is_in(t.column("token"),
                                  value_set=_ray.get(vref)))
 
-    vrows = cnt.map_batches(vocab_rows, batch_format="pyarrow",
-                            runtime_env=env).take_all()
+    vrows = map_batches(cnt, vocab_rows).take_all()
 
     labels = sorted(set(docs) | set(totals))
     if not labels:
@@ -237,7 +226,6 @@ def nb_classify(ds, model: NBModel, column: str = "text",
     mref = _ray.put((model.vocab, model.log_cond.copy(),
                      model.log_oov.copy(), model.log_prior.copy()))
     keep = list(keep_columns or [])
-    env = package_runtime_env()
 
     def score(batch: pa.Table) -> pa.Table:
         from .textstats import _word_rows
@@ -270,6 +258,5 @@ def nb_classify(ds, model: NBModel, column: str = "text",
         cols["avg_neg_logp"] = pa.array(avg)
         return pa.table(cols)
 
-    return ds.select_columns(
-        list(dict.fromkeys([id_column, column, *keep]))).map_batches(
-        score, batch_format="pyarrow", runtime_env=env)
+    cols = list(dict.fromkeys([id_column, column, *keep]))
+    return map_batches(ds.select_columns(cols), score)

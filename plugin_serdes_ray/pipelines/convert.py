@@ -12,7 +12,7 @@ from typing import Optional
 
 import pyarrow as pa
 
-from ..util import package_runtime_env
+from ..util import map_batches
 
 
 def _parse(fmt: str, data: bytes) -> pa.Table:
@@ -171,10 +171,10 @@ def convert_files(files: list[str], out_dir: str, in_fmt: str, out_fmt: str,
     stats = []
     if todo:
         ds = ray.data.from_items([{"path": f} for f in todo])
-        stats = ds.map_batches(
-            task, batch_size=1, batch_format="pyarrow",
-            concurrency=min(concurrency or 8, len(todo)), num_cpus=1,
-            runtime_env=package_runtime_env()).take_all()
+        stats = map_batches(
+            ds, task, batch_size=1,
+            concurrency=min(concurrency or 8, len(todo)),
+            num_cpus=1).take_all()
     return {"converted": len(stats), "skipped": len(files) - len(todo),
             "rows": sum(r["rows"] for r in stats),
             "outputs": sorted(out_path(f) for f in files)}

@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env
+from ..util import map_batches, map_groups
 
 MERSENNE = (1 << 61) - 1
 
@@ -119,172 +119,44 @@ def _content_hash64(arr: pa.Array) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _first_per_group_fn(column: str, id_column: str):
-    """Per-hash-group resolver: keep the smallest-``id_column`` row per
-    distinct actual ``column`` value (hash collisions verify on values)."""
-    def first_per_group(group: pa.Table) -> pa.Table:
-        vals = group.column(column)
-        seen: dict = {}
-        keep = []
-        order = pc.sort_indices(group.column(id_column)).to_pylist()
-        for i in order:
-            v = vals[i].as_py()
-            if v not in seen:
-                seen[v] = True
-                keep.append(i)
-        return group.take(sorted(keep)).drop_columns(["__h"])
-    return first_per_group
-
-
-def _exact_dedup_broadcast(hashed, dups, column: str, id_column: str, env):
-    """Small-dup-set route: the duplicated hashes fit the driver, so they
-    broadcast once (``ray.put``) into two map-only ``is_in`` routes; only
-    suspect rows enter the keyed shuffle. Collection stays Arrow
-    (``iter_batches``, 8 bytes/hash) — a ``take_all()`` of row dicts
-    would cost ~100x that in driver heap at the 4M default."""
-    import ray
-
-    chunks = []
-    for b in dups.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            c = b.column("__h").combine_chunks()
-            chunks.append(c.chunks[0] if isinstance(c, pa.ChunkedArray)
-                          else c)
-    flat = (pa.concat_arrays(chunks) if chunks
-            else pa.array([], type=pa.int64()))
-    # sorted for a deterministic broadcast object (is_in itself is
-    # order-insensitive)
-    dup_hashes = flat.take(pc.array_sort_indices(flat))
-    dup_ref = ray.put(dup_hashes)
-
-    def pass_unique(batch: pa.Table) -> pa.Table:
-        ds_ = ray.get(dup_ref)
-        m = pc.is_in(batch.column("__h"), value_set=ds_)
-        return batch.filter(pc.invert(m)).drop_columns(["__h"])
-
-    def keep_suspect(batch: pa.Table) -> pa.Table:
-        ds_ = ray.get(dup_ref)
-        return batch.filter(pc.is_in(batch.column("__h"), value_set=ds_))
-
-    unique_rows = hashed.map_batches(pass_unique, batch_format="pyarrow",
-                                     runtime_env=env)
-    deduped = (hashed.map_batches(keep_suspect, batch_format="pyarrow",
-                                  runtime_env=env)
-               .groupby("__h")
-               .map_groups(_first_per_group_fn(column, id_column),
-                           batch_format="pyarrow",
-                           runtime_env=package_runtime_env()))
-    return unique_rows.union(deduped)
-
-
-def _exact_dedup_distributed(hashed, dups, column: str, id_column: str, env,
-                             bloom_bits: int):
-    """Large-dup-set route (duplicate-heavy crawls): the duplicated hashes
-    NEVER reach the driver. A Bloom bitmap of them is built distributed
-    (fixed ``bloom_bits/8``-byte partials, OR-tree reduce) and broadcast;
-    bloom MISSES are definite uniques emitted map-only, and only bloom
-    hits (true duplicates + false positives) enter ONE keyed shuffle where
-    the dup-hash rows ride along as markers — a group without a marker is
-    a false positive and passes through verbatim, a marked group resolves
-    keep-first-per-value. Rows moved: O(duplicates + fp), same as the
-    broadcast route, with driver memory O(1)."""
-    import ray
-
-    from .relational import bloom_probe_hits, build_key_bloom
-
-    words_ref = build_key_bloom(dups, ["__h"], out_keys=["__h"],
-                                out_types={"__h": pa.int64()},
-                                bits=bloom_bits, num_hashes=4)
-    l_schema = hashed.schema()
-    l_names = list(l_schema.names)
-    l_types = {nm: t for nm, t in zip(l_schema.names, l_schema.types)}
-
-    def probe(batch: pa.Table, want_hits: bool) -> pa.Table:
-        hits = bloom_probe_hits(batch, ["__h"], ray.get(words_ref), 4)
-        return batch.filter(pa.array(hits if want_hits else ~hits))
-
-    def pass_miss(batch: pa.Table) -> pa.Table:
-        return probe(batch, False).drop_columns(["__h"])
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        t = probe(batch, True)
-        return t.append_column("__side", pa.array(
-            np.zeros(t.num_rows, dtype=np.int8)))
-
-    def tag_dups(batch: pa.Table) -> pa.Table:
-        # marker rows: the dup hash under the left schema (payload nulls)
-        cols = {nm: (batch.column("__h").cast(l_types[nm]) if nm == "__h"
-                     else pa.nulls(batch.num_rows, l_types[nm]))
-                for nm in l_names}
-        t = pa.table(cols)
-        return t.append_column("__side", pa.array(
-            np.ones(t.num_rows, dtype=np.int8)))
-
-    first_per_group = _first_per_group_fn(column, id_column)
-
-    def resolve_group(group: pa.Table) -> pa.Table:
-        side = group.column("__side").to_numpy(zero_copy_only=False)
-        left = group.filter(pa.array(side == 0)).drop_columns(["__side"])
-        if not (side == 1).any():
-            # bloom false positive: the hash is NOT duplicated
-            return left.drop_columns(["__h"])
-        return first_per_group(left)
-
-    unique_rows = hashed.map_batches(pass_miss, batch_format="pyarrow",
-                                     runtime_env=env)
-    resolved = (hashed.map_batches(tag_left, batch_format="pyarrow",
-                                   runtime_env=env)
-                .union(dups.map_batches(tag_dups, batch_format="pyarrow",
-                                        runtime_env=env))
-                .groupby("__h")
-                .map_groups(resolve_group, batch_format="pyarrow",
-                            runtime_env=package_runtime_env()))
-    return unique_rows.union(resolved)
-
-
 def exact_dedup(ds, column: str, id_column: str, *,
-                materialize: bool = False,
-                max_driver_dup_hashes: int = 4_000_000,
-                bloom_bits: int = 1 << 23):
+                materialize: bool = False, bloom_bits: int = 1 << 23):
     """Keep, per distinct ``column`` value, the row with the smallest
     ``id_column``.
 
     DETERMINISM CONTRACT (ADVICE r2): the input dataset's lineage is
-    re-executed for each of the three streaming scans below, so upstream
-    stages must be deterministic (no unseeded random_sample / stateful
-    actor maps) or the scans see different rows and output silently drifts.
+    re-executed for each of the streaming scans below, so upstream stages
+    must be deterministic (no unseeded random_sample / stateful actor
+    maps) or the scans see different rows and output silently drifts.
     Pass ``materialize=True`` to pin a nondeterministic input: the hashed
     dataset is materialized once into the object store and all scans read
     that snapshot (costs a full-corpus materialization — prefer fixing the
     upstream determinism at 100 TB).
 
-    Scale shape: the ONLY full-width shuffle is avoided entirely. A count
-    pass over just the 64-bit content hashes (per-block pre-agg -> native
-    grouped sum, filtered to count>1 BEFORE reaching the driver) finds the
-    hashes that occur more than once and MATERIALIZES them (fixed 8-byte
-    rows in the object store, never driver memory); rows with a unique
-    hash pass through map-only, and only the duplicated-hash rows
-    (O(duplicates)) are grouped for per-value verification — so neither
-    the documents nor most rows ever shuffle.
+    Scale shape: no full-width shuffle. A count pass over just the 64-bit
+    content hashes (per-block pre-agg -> native grouped sum, filtered to
+    count>1 inside the dataset) MATERIALIZES the duplicated hashes (fixed
+    8-byte rows in the object store, never driver memory). A Bloom bitmap
+    of them is built distributed (fixed ``bloom_bits/8``-byte partials —
+    1 MiB by default, a power of two — OR-tree reduce) and broadcast:
+    bloom MISSES are definite uniques emitted map-only, and only bloom
+    hits (true duplicates + false positives) enter ONE keyed shuffle on
+    the hash. Every row of a duplicated hash hits, so a one-row group is
+    exactly a false positive; each group keeps the smallest-id row per
+    actual value (hash collisions verify on values), which leaves a
+    one-row group as it is. Rows moved: O(duplicates + fp); driver
+    memory: the bitmap.
 
-    SIZE GUARD (VERDICT r4 #1): a duplicate-heavy crawl can have billions
-    of distinct duplicated hashes — far too many to ``take_all()`` to the
-    driver and ship as an ``is_in`` value set. When the duplicated-hash
-    count exceeds ``max_driver_dup_hashes`` the routing switches to a
-    distributed Bloom bitmap (size ``bloom_bits``, a power of two —
-    default 1 MiB; scale to the expected dup count) + marker-group
-    resolution that keeps driver memory O(1) and moves only
-    O(duplicates + bloom fp) rows. Results are identical either way.
+    Correctness of the unverified map-only route requires every scan to
+    hash identically: the hash path is seed-fixed (see
+    :func:`_content_hash64`), so a single cluster never mixes hash
+    functions."""
+    import ray
+    from ray.data.aggregate import Sum
 
-    The lazy ``hashed`` dataset is consumed three times (counts, unique
-    route, suspect route) — three streaming scans instead of one all-to-all
-    exchange, the cheaper trade on a multi-node cluster. Correctness of the
-    unverified map-only route requires every scan to hash identically: the
-    hash path is seed-fixed (see :func:`_content_hash64`), so a single
-    cluster never mixes hash functions."""
-    env = package_runtime_env()
-    hashed = ds.map_batches(_add_hash_fn(column), batch_format="pyarrow",
-                            runtime_env=env)
+    from .relational import bloom_probe_hits, build_key_bloom
+
+    hashed = map_batches(ds, _add_hash_fn(column))
     if materialize:
         hashed = hashed.materialize()
 
@@ -300,17 +172,34 @@ def exact_dedup(ds, column: str, id_column: str, *,
         return pa.table({"__h": batch.filter(
             pc.greater(batch.column("sum(__c)"), 1)).column("__h")})
 
-    from ray.data.aggregate import Sum
+    counts = map_batches(hashed, local_counts).groupby("__h").aggregate(
+        Sum("__c"))
+    dups = map_batches(counts, only_dups).materialize()
+    words_ref = build_key_bloom(dups, ["__h"], out_keys=["__h"],
+                                out_types={"__h": pa.int64()},
+                                bits=bloom_bits, num_hashes=4)
 
-    dups = (hashed.map_batches(local_counts, batch_format="pyarrow",
-                               runtime_env=env)
-            .groupby("__h").aggregate(Sum("__c"))
-            .map_batches(only_dups, batch_format="pyarrow", runtime_env=env)
-            .materialize())
-    if dups.count() <= max_driver_dup_hashes:
-        return _exact_dedup_broadcast(hashed, dups, column, id_column, env)
-    return _exact_dedup_distributed(hashed, dups, column, id_column, env,
-                                    bloom_bits)
+    def probe(batch: pa.Table, want_hits: bool) -> pa.Table:
+        hits = bloom_probe_hits(batch, ["__h"], ray.get(words_ref), 4)
+        return batch.filter(pa.array(hits if want_hits else ~hits))
+
+    def pass_miss(batch: pa.Table) -> pa.Table:
+        return probe(batch, False).drop_columns(["__h"])
+
+    def first_per_value(group: pa.Table) -> pa.Table:
+        vals = group.column(column)
+        seen: set = set()
+        keep = []
+        for i in pc.sort_indices(group.column(id_column)).to_pylist():
+            v = vals[i].as_py()
+            if v not in seen:
+                seen.add(v)
+                keep.append(i)
+        return group.take(sorted(keep)).drop_columns(["__h"])
+
+    hits = map_batches(hashed, lambda b: probe(b, True))
+    resolved = map_groups(hits.groupby("__h"), first_per_value)
+    return map_batches(hashed, pass_miss).union(resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +332,7 @@ def minhash_band_rows(ds, column: str, id_column: str, num_perm: int = 64,
             "sig": sig_fsb.take(rep).cast(pa.large_binary()),
         })
 
-    return ds.map_batches(sigs, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, sigs)
 
 
 def minhash_lsh_duplicates(ds, column: str, id_column: str,
@@ -509,20 +397,15 @@ def minhash_lsh_duplicates(ds, column: str, id_column: str,
         return pa.table({"keep_id": pa.array(keep, type=pa.int64()),
                          "dup_id": pa.array(dup, type=pa.int64())})
 
-    return (
-        minhash_band_rows(ds, column, id_column, num_perm, bands, k)
-        .groupby("band_key")
-        .map_groups(verify, batch_format="pyarrow",
-                    runtime_env=package_runtime_env())
-    )
+    rows = minhash_band_rows(ds, column, id_column, num_perm, bands, k)
+    return map_groups(rows.groupby("band_key"), verify)
 
 
 def _distinct_pairs(pairs):
     """One row per distinct ``(keep_id, dup_id)``: a pair found in several
     band/bucket groups collapses in one keyed shuffle of the pair set."""
-    return pairs.groupby(["keep_id", "dup_id"]).map_groups(
-        lambda g: g.slice(0, 1), batch_format="pyarrow",
-        runtime_env=package_runtime_env())
+    return map_groups(
+        pairs.groupby(["keep_id", "dup_id"]), lambda g: g.slice(0, 1))
 
 
 def minhash_lsh_duplicates_exact(ds, column: str, id_column: str,
@@ -571,7 +454,6 @@ def _verify_pairs(ds, column: str, id_column: str, pairs,
 
     from .relational import bloom_probe_hits, build_key_bloom, hash_join
 
-    env = package_runtime_env()
     i64 = pa.int64()
     empty = pa.table({"keep_id": pa.array([], type=i64),
                       "dup_id": pa.array([], type=i64)})
@@ -583,8 +465,7 @@ def _verify_pairs(ds, column: str, id_column: str, pairs,
                          "keep_id": pa.concat_arrays([keep, keep]),
                          "dup_id": pa.concat_arrays([dup, dup])})
 
-    sides = pairs.map_batches(side_rows, batch_format="pyarrow",
-                              runtime_env=env).materialize()
+    sides = map_batches(pairs, side_rows).materialize()
     if sides.count() == 0:
         # no candidates: the empty pair shuffle has no schema, which would
         # crash the join below — return the empty result directly
@@ -598,8 +479,7 @@ def _verify_pairs(ds, column: str, id_column: str, pairs,
         return pa.table({"__id": t.column(id_column).cast(i64),
                          "__text": t.column(column)})
 
-    texts = ds.map_batches(candidate_texts, batch_format="pyarrow",
-                           runtime_env=env)
+    texts = map_batches(ds, candidate_texts)
 
     def check(group: pa.Table) -> pa.Table:
         pair = group.select(["keep_id", "dup_id"]).slice(0, 1)
@@ -610,9 +490,8 @@ def _verify_pairs(ds, column: str, id_column: str, pairs,
             return empty
         return pair if jaccard(txts[0], txts[1], k) >= threshold else empty
 
-    return (hash_join(sides, texts, "__id")
-            .groupby(["keep_id", "dup_id"])
-            .map_groups(check, batch_format="pyarrow", runtime_env=env))
+    joined = hash_join(sides, texts, "__id")
+    return map_groups(joined.groupby(["keep_id", "dup_id"]), check)
 
 
 def minhash_lsh_dedup(ds, column: str, id_column: str, **kw):
@@ -642,8 +521,7 @@ def minhash_lsh_dedup(ds, column: str, id_column: str, **kw):
                                       batch.column("component")))
         return pa.table({id_column: t.column("v")})
 
-    drops = comp.map_batches(non_canonical, batch_format="pyarrow",
-                             runtime_env=package_runtime_env())
+    drops = map_batches(comp, non_canonical)
     return bloom_semi_join(ds, drops, id_column, anti=True)
 
 
@@ -753,10 +631,7 @@ def hash64_duplicates(ds, hash_column: str, id_column: str,
         return pa.table({"keep_id": pa.array(keep, type=pa.int64()),
                          "dup_id": pa.array(dup, type=pa.int64())})
 
-    env = package_runtime_env()
-    pairs = (ds.map_batches(sigs, batch_format="pyarrow", runtime_env=env)
-             .groupby("band_key").map_groups(verify, batch_format="pyarrow",
-                                             runtime_env=env))
+    pairs = map_groups(map_batches(ds, sigs).groupby("band_key"), verify)
     return _distinct_pairs(pairs) if distinct else pairs
 
 
@@ -784,8 +659,7 @@ def simhash_duplicates(ds, column: str, id_column: str,
         return pa.table({id_column: pa.array(did, type=pa.int64()),
                          "__sim": pa.array(sh, type=pa.int64())})
 
-    hashed = ds.map_batches(sigs, batch_format="pyarrow",
-                            runtime_env=package_runtime_env())
+    hashed = map_batches(ds, sigs)
     # distinct=False preserves the historical contract (a pair matching in
     # several bands may emit several rows; consumers collapse)
     return hash64_duplicates(hashed, "__sim", id_column,
@@ -879,10 +753,7 @@ def embedding_duplicates(ds, vector_column: str, id_column: str,
                          "dup_id": pa.array(dup, type=pa.int64())})
 
     return _distinct_pairs(
-        ds.map_batches(sigs, batch_format="pyarrow",
-                       runtime_env=package_runtime_env())
-        .groupby("bucket").map_groups(verify, batch_format="pyarrow",
-                                      runtime_env=package_runtime_env()))
+        map_groups(map_batches(ds, sigs).groupby("bucket"), verify))
 
 
 # ---------------------------------------------------------------------------
@@ -928,16 +799,13 @@ def exact_dedup_incremental(new_ds, seen_ds, column: str, id_column: str, *,
     the new shard itself collisions are verified exactly by
     exact_dedup's per-value check. Null values hash like any other and
     dedup against seen nulls."""
-    env = package_runtime_env()
     from .relational import bloom_semi_join
 
-    deduped = exact_dedup(new_ds, column, id_column).map_batches(
-        _add_hash_fn(column), batch_format="pyarrow", runtime_env=env)
-    seen = seen_ds.map_batches(_hash_only_fn(column),
-                               batch_format="pyarrow", runtime_env=env)
+    deduped = map_batches(
+        exact_dedup(new_ds, column, id_column), _add_hash_fn(column))
+    seen = map_batches(seen_ds, _hash_only_fn(column))
     out = bloom_semi_join(deduped, seen, "__h", anti=True, bits=bits)
-    return out.map_batches(lambda b: b.drop_columns(["__h"]),
-                           batch_format="pyarrow", runtime_env=env)
+    return map_batches(out, lambda b: b.drop_columns(["__h"]))
 
 
 def _add_hash_fn(column: str):
@@ -972,14 +840,11 @@ def corpus_diff(old_ds, new_ds, column: str, id_column: str, *,
 
     Returns ONE dataset: the input columns plus ``side_col``. Rows whose
     value occurs in both snapshots are absent from the output."""
-    env = package_runtime_env()
     from .relational import bloom_semi_join
 
     def one_way(src, other, tag):
-        hashed = src.map_batches(_add_hash_fn(column),
-                                 batch_format="pyarrow", runtime_env=env)
-        other_h = other.map_batches(_hash_only_fn(column),
-                                    batch_format="pyarrow", runtime_env=env)
+        hashed = map_batches(src, _add_hash_fn(column))
+        other_h = map_batches(other, _hash_only_fn(column))
         out = bloom_semi_join(hashed, other_h, "__h", anti=True, bits=bits)
 
         def finish(b: pa.Table) -> pa.Table:
@@ -989,8 +854,7 @@ def corpus_diff(old_ds, new_ds, column: str, id_column: str, *,
             return b.drop_columns(["__h"]).append_column(
                 side_col, pa.array([tag] * b.num_rows, type=pa.string()))
 
-        return out.map_batches(finish, batch_format="pyarrow",
-                               runtime_env=env)
+        return map_batches(out, finish)
 
     return one_way(new_ds, old_ds, "added").union(
         one_way(old_ds, new_ds, "removed"))
@@ -1034,8 +898,6 @@ def dup_span_stats(ds, column: str, id_column: str, *, gram: int = 20,
 
     from .relational import bloom_semi_join
 
-    env = package_runtime_env()
-
     def spans(batch: pa.Table) -> pa.Table:
         texts = batch.column(column).to_pylist()
         ids = batch.column(id_column).combine_chunks()
@@ -1056,7 +918,7 @@ def dup_span_stats(ds, column: str, id_column: str, *, gram: int = 20,
         return pa.table({"__h": pa.array(np.concatenate(hs).view(np.int64)),
                          id_column: pa.array(np.concatenate(out_ids))})
 
-    pairs = ds.map_batches(spans, batch_format="pyarrow", runtime_env=env)
+    pairs = map_batches(ds, spans)
     dups = _dup_gram_hashes(pairs)
     marked = bloom_semi_join(pairs, dups, "__h", bits=bloom_bits)
 
@@ -1071,10 +933,8 @@ def dup_span_stats(ds, column: str, id_column: str, *, gram: int = 20,
                              "__d": z if tag_total else n})
         return partial
 
-    tagged = pairs.map_batches(per_doc(True), batch_format="pyarrow",
-                               runtime_env=env).union(
-        marked.map_batches(per_doc(False), batch_format="pyarrow",
-                           runtime_env=env))
+    tagged = map_batches(pairs, per_doc(True)).union(
+        map_batches(marked, per_doc(False)))
 
     def finish(batch: pa.Table) -> pa.Table:
         n_g = batch.column("sum(__g)").cast(pa.int64())
@@ -1084,8 +944,8 @@ def dup_span_stats(ds, column: str, id_column: str, *, gram: int = 20,
                          "n_grams": n_g, "n_dup_grams": n_d,
                          "dup_frac": frac})
 
-    return (tagged.groupby(id_column).aggregate(Sum("__g"), Sum("__d"))
-            .map_batches(finish, batch_format="pyarrow", runtime_env=env))
+    return map_batches(
+        tagged.groupby(id_column).aggregate(Sum("__g"), Sum("__d")), finish)
 
 
 def _span_gram_hash_positions(text: str, gram: int, stride: int):
@@ -1117,7 +977,6 @@ def _dup_gram_hashes(occ, max_gram_occurrences: Optional[int] = None):
     plain row count of the (flagged) rows (a native keyed count,
     combined map-side), and holds however the rows are split into
     blocks."""
-    env = package_runtime_env()
 
     def firsts(batch: pa.Table) -> pa.Table:
         if "__first" in batch.column_names:
@@ -1131,10 +990,8 @@ def _dup_gram_hashes(occ, max_gram_occurrences: Optional[int] = None):
             keep = pc.and_(keep, pc.less_equal(n, max_gram_occurrences))
         return batch.filter(keep).select(["__h"])
 
-    return (occ.map_batches(firsts, batch_format="pyarrow", runtime_env=env)
-            .groupby("__h").count()
-            .map_batches(only_dups, batch_format="pyarrow", runtime_env=env)
-            .materialize())
+    counts = map_batches(occ, firsts).groupby("__h").count()
+    return map_batches(counts, only_dups).materialize()
 
 
 def remove_duplicate_spans(ds, column: str = "text",
@@ -1194,7 +1051,6 @@ def remove_duplicate_spans(ds, column: str = "text",
     from .relational import (bloom_probe_hits, bloom_semi_join,
                              build_key_bloom, hash_join)
 
-    env = package_runtime_env()
     if materialize:
         ds = ds.materialize()
     schema = ds.schema()
@@ -1233,7 +1089,7 @@ def remove_duplicate_spans(ds, column: str = "text",
             "pos": pa.array(np.concatenate(ps)),
             "__first": pa.array(np.concatenate(firsts))})
 
-    occ = ds.map_batches(occ_rows, batch_format="pyarrow", runtime_env=env)
+    occ = map_batches(ds, occ_rows)
     dups = _dup_gram_hashes(occ, max_gram_occurrences)
 
     marked = bloom_semi_join(occ, dups, "__h", bits=bloom_bits)
@@ -1249,9 +1105,7 @@ def remove_duplicate_spans(ds, column: str = "text",
                          "s": pa.array(pos[keep]),
                          "e": pa.array(pos[keep] + gram)})
 
-    removals = (marked.groupby("__h")
-                .map_groups(drop_canonical, batch_format="pyarrow",
-                            runtime_env=env))
+    removals = map_groups(marked.groupby("__h"), drop_canonical)
 
     def merge_intervals(group: pa.Table) -> pa.Table:
         s = group.column("s").combine_chunks().to_numpy(
@@ -1277,9 +1131,7 @@ def remove_duplicate_spans(ds, column: str = "text",
                                            zip(ms, me)))],
                                   type=pa.int64())})
 
-    doclists = (removals.groupby(id_column)
-                .map_groups(merge_intervals, batch_format="pyarrow",
-                            runtime_env=env)
+    doclists = (map_groups(removals.groupby(id_column), merge_intervals)
                 .materialize())   # O(affected docs) rows
 
     def shape_out(batch: pa.Table, clean_col, n_arr, r_arr) -> pa.Table:
@@ -1300,8 +1152,7 @@ def remove_duplicate_spans(ds, column: str = "text",
     if doclists.count() == 0:
         # nothing duplicated (only same-offset-mod-stride repeats match
         # the sampled grams): every row passes through untouched
-        return ds.map_batches(all_clean, batch_format="pyarrow",
-                              runtime_env=env)
+        return map_batches(ds, all_clean)
 
     words_ref = build_key_bloom(doclists, [id_column],
                                 out_keys=[id_column],
@@ -1317,10 +1168,8 @@ def remove_duplicate_spans(ds, column: str = "text",
         zeros = pa.nulls(batch.num_rows, pa.int64()).fill_null(0)
         return shape_out(batch, batch.column(column), zeros, zeros)
 
-    untouched = ds.map_batches(passthrough, batch_format="pyarrow",
-                               runtime_env=env)
-    affected = ds.map_batches(lambda b: probe(b, True),
-                              batch_format="pyarrow", runtime_env=env)
+    untouched = map_batches(ds, passthrough)
+    affected = map_batches(ds, lambda b: probe(b, True))
     joined = hash_join(affected, doclists, id_column, join_type="left")
 
     def excise(batch: pa.Table) -> pa.Table:
@@ -1353,8 +1202,7 @@ def remove_duplicate_spans(ds, column: str = "text",
                          pa.array(out_n, type=pa.int64()),
                          pa.array(out_r, type=pa.int64()))
 
-    cleaned = joined.map_batches(excise, batch_format="pyarrow",
-                                 runtime_env=env)
+    cleaned = map_batches(joined, excise)
     return untouched.union(cleaned)
 
 
@@ -1370,8 +1218,6 @@ def line_counts(ds, column: str = "text", sep: str = "\n"):
     data moves), then ONE ``groupby(line).Sum`` shuffle."""
     from ray.data.aggregate import Sum
 
-    env = package_runtime_env()
-
     def partial(batch: pa.Table) -> pa.Table:
         col = pc.fill_null(batch.column(column).combine_chunks(), "")
         flat = pc.list_flatten(pc.split_pattern(col, sep))
@@ -1379,12 +1225,10 @@ def line_counts(ds, column: str = "text", sep: str = "\n"):
         return pa.table({"line": vc.field(0),
                          "__c": vc.field(1).cast(pa.int64())})
 
-    g = (ds.map_batches(partial, batch_format="pyarrow", runtime_env=env)
-           .groupby("line").aggregate(Sum("__c")))
-    return g.map_batches(
-        lambda t: pa.table({"line": t.column("line"),
-                            "cnt": t.column("sum(__c)").cast(pa.int64())}),
-        batch_format="pyarrow", runtime_env=env)
+    g = map_batches(ds, partial).groupby("line").aggregate(Sum("__c"))
+    return map_batches(g, lambda t: pa.table({
+        "line": t.column("line"),
+        "cnt": t.column("sum(__c)").cast(pa.int64())}))
 
 
 def remove_frequent_lines(ds, column: str = "text",
@@ -1414,8 +1258,6 @@ def remove_frequent_lines(ds, column: str = "text",
     import ray
     from ray.data.aggregate import Sum
 
-    env = package_runtime_env()
-
     def df_partial(batch: pa.Table) -> pa.Table:
         row, _, flat, _ = _line_explode(batch, column, id_column, sep)
         ne = pc.not_equal(flat, "")
@@ -1427,13 +1269,9 @@ def remove_frequent_lines(ds, column: str = "text",
         return pa.table({"line": vc.field(0),
                          "__df": vc.field(1).cast(pa.int64())})
 
-    dfs = (ds.map_batches(df_partial, batch_format="pyarrow",
-                          runtime_env=env)
-             .groupby("line").aggregate(Sum("__df")))
-    freq_rows = dfs.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("sum(__df)"),
-                                            min_df)).select(["line"]),
-        batch_format="pyarrow", runtime_env=env).take_all()
+    dfs = map_batches(ds, df_partial).groupby("line").aggregate(Sum("__df"))
+    freq_rows = map_batches(dfs, lambda t: t.filter(pc.greater_equal(
+        t.column("sum(__df)"), min_df)).select(["line"])).take_all()
     if len(freq_rows) > broadcast_limit:
         raise ValueError(
             f"remove_frequent_lines: {len(freq_rows)} frequent lines "
@@ -1468,8 +1306,7 @@ def remove_frequent_lines(ds, column: str = "text",
             "n_removed": removed,
         })
 
-    return ds.map_batches(rebuild, batch_format="pyarrow",
-                          runtime_env=env)
+    return map_batches(ds, rebuild)
 
 
 def _line_explode(batch: pa.Table, column: str, id_column: str, sep: str):
@@ -1534,12 +1371,9 @@ def paragraph_dedup(ds, column: str = "text", id_column: str = "doc_id", *,
 
     if keep not in ("none", "first"):
         raise ValueError(f"keep must be 'none' or 'first', got {keep!r}")
-    env = package_runtime_env()
     counts = line_counts(ds, column, sep)
-    dups = counts.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("cnt"),
-                                            min_count)).select(["line"]),
-        batch_format="pyarrow", runtime_env=env).materialize()
+    dups = map_batches(counts, lambda t: t.filter(pc.greater_equal(
+        t.column("cnt"), min_count)).select(["line"])).materialize()
     n_dups = dups.count()
 
     if n_dups == 0:
@@ -1548,8 +1382,7 @@ def paragraph_dedup(ds, column: str = "text", id_column: str = "doc_id", *,
                 id_column: batch.column(id_column),
                 column: pc.fill_null(
                     batch.column(column).combine_chunks(), "")})
-        return ds.select_columns([id_column, column]).map_batches(
-            passthrough, batch_format="pyarrow", runtime_env=env)
+        return map_batches(ds.select_columns([id_column, column]), passthrough)
 
     if n_dups > broadcast_limit:
         return _paragraph_dedup_join(ds, dups, column, id_column,
@@ -1571,10 +1404,9 @@ def paragraph_dedup(ds, column: str = "text", id_column: str = "doc_id", *,
             return pa.table({"line": flat.filter(pa.array(m)),
                              "__k": _first_key(ids[m], idx[m])})
 
-        fr = (ds.select_columns([id_column, column])
-                .map_batches(first_partial, batch_format="pyarrow",
-                             runtime_env=env)
-                .groupby("line").aggregate(Min("__k")).take_all())
+        fr = map_batches(ds.select_columns([id_column, column]),
+                         first_partial)
+        fr = fr.groupby("line").aggregate(Min("__k")).take_all()
         # aligned with dup_arr's order for a vectorized gather at rebuild
         fmap = {r["line"]: r["min(__k)"] for r in fr}
         first_ref = _ray.put(pa.array(
@@ -1607,8 +1439,7 @@ def paragraph_dedup(ds, column: str = "text", id_column: str = "doc_id", *,
         out = pc.binary_join(lst, sep)
         return pa.table({id_column: batch.column(id_column), column: out})
 
-    return ds.select_columns([id_column, column]).map_batches(
-        rebuild, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds.select_columns([id_column, column]), rebuild)
 
 
 def _paragraph_dedup_join(ds, dups, column: str, id_column: str, *,
@@ -1622,8 +1453,6 @@ def _paragraph_dedup_join(ds, dups, column: str, id_column: str, *,
 
     from .relational import hash_join
 
-    env = package_runtime_env()
-
     def meta(batch: pa.Table) -> pa.Table:
         row, idx, flat, _ = _line_explode(batch, column, id_column, sep)
         ids = batch.column(id_column).combine_chunks().to_numpy(
@@ -1633,8 +1462,7 @@ def _paragraph_dedup_join(ds, dups, column: str, id_column: str, *,
                          id_column: pa.array(ids[ne]),
                          "__i": pa.array(idx[ne])})
 
-    lines = ds.select_columns([id_column, column]).map_batches(
-        meta, batch_format="pyarrow", runtime_env=env)
+    lines = map_batches(ds.select_columns([id_column, column]), meta)
     hit = hash_join(lines, dups, key="line")
     if keep == "first":
         def add_key(t: pa.Table) -> pa.Table:
@@ -1644,13 +1472,12 @@ def _paragraph_dedup_join(ds, dups, column: str, id_column: str, *,
                 zero_copy_only=False)
             return t.append_column("__k", _first_key(ids, idx))
 
-        hit = hit.map_batches(add_key, batch_format="pyarrow",
-                              runtime_env=env).materialize()
+        hit = map_batches(hit, add_key).materialize()
         firsts = hit.groupby("line").aggregate(Min("__k"))
-        hit = hash_join(hit, firsts, key="line").map_batches(
+        hit = map_batches(
+            hash_join(hit, firsts, key="line"),
             lambda t: t.filter(pc.not_equal(t.column("__k"),
-                                            t.column("min(__k)"))),
-            batch_format="pyarrow", runtime_env=env)
+                                            t.column("min(__k)"))))
 
     def drop_list(group: pa.Table) -> pa.Table:
         idx = np.sort(group.column("__i").to_numpy(zero_copy_only=False))
@@ -1659,8 +1486,7 @@ def _paragraph_dedup_join(ds, dups, column: str, id_column: str, *,
             "__drop": pa.array([",".join(map(str, idx))],
                                type=pa.string())})
 
-    dropg = hit.groupby(id_column).map_groups(
-        drop_list, batch_format="pyarrow", runtime_env=env)
+    dropg = map_groups(hit.groupby(id_column), drop_list)
     joined = hash_join(ds.select_columns([id_column, column]), dropg,
                        key=id_column, join_type="left")
 
@@ -1679,8 +1505,7 @@ def _paragraph_dedup_join(ds, dups, column: str, id_column: str, *,
         return pa.table({id_column: batch.column(id_column),
                          column: pa.array(out, type=pa.string())})
 
-    return joined.map_batches(rebuild, batch_format="pyarrow",
-                              runtime_env=env)
+    return map_batches(joined, rebuild)
 
 
 def paragraph_dedup_doc(ds, column: str = "text", id_column: str = "doc_id",
@@ -1701,7 +1526,6 @@ def paragraph_dedup_doc(ds, column: str = "text", id_column: str = "doc_id",
 
     Returns ``(id_column, column)`` with every input row present.
     """
-    env = package_runtime_env()
 
     def rebuild(batch: pa.Table) -> pa.Table:
         row, idx, flat, lens = _line_explode(batch, column, id_column, sep)
@@ -1735,8 +1559,7 @@ def paragraph_dedup_doc(ds, column: str = "text", id_column: str = "doc_id",
         return pa.table({id_column: batch.column(id_column),
                          column: pc.binary_join(lst, sep)})
 
-    return ds.select_columns([id_column, column]).map_batches(
-        rebuild, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds.select_columns([id_column, column]), rebuild)
 
 
 def semdedup(ds, *, threshold: float = 0.95, k: int = 8, iters: int = 0,
@@ -1775,7 +1598,6 @@ def semdedup(ds, *, threshold: float = 0.95, k: int = 8, iters: int = 0,
     """
     from .vectors import kmeans, kmeans_assign, kmeans_init_first_k
 
-    env = package_runtime_env()
     src = ds.select_columns([id_column, vector_column])
     if centroids is None:
         if iters > 0:
@@ -1831,8 +1653,7 @@ def semdedup(ds, *, threshold: float = 0.95, k: int = 8, iters: int = 0,
                          "keep": pa.array(keep),
                          "dup_of": pa.array(killer, mask=keep)})
 
-    return assigned.groupby("cluster").map_groups(
-        check, batch_format="pyarrow", runtime_env=env)
+    return map_groups(assigned.groupby("cluster"), check)
 
 
 # ---------------------------------------------------------------------------
@@ -1886,8 +1707,6 @@ def edit_distance_pairs(ds, column: str, id_column: str,
     LOWER bounds on Levenshtein — no recall loss), and only survivors
     pay the vectorized DP. Returns (id_a, id_b, dist int64)."""
     import pyarrow.compute as pc
-
-    from ..util import package_runtime_env
 
     empty = pa.table({"id_a": pa.array([], type=pa.int64()),
                       "id_b": pa.array([], type=pa.int64()),
@@ -1949,11 +1768,8 @@ def edit_distance_pairs(ds, column: str, id_column: str,
                          "id_b": pa.array(out_b, type=pa.int64()),
                          "dist": pa.array(out_d, type=pa.int64())})
 
-    keyed = ds.map_batches(add_block, batch_format="pyarrow",
-                           runtime_env=package_runtime_env())
-    return keyed.groupby(list(block_cols) + ["__band"]).map_groups(
-        compare, batch_format="pyarrow",
-        runtime_env=package_runtime_env())
+    keyed = map_batches(ds, add_block)
+    return map_groups(keyed.groupby(list(block_cols) + ["__band"]), compare)
 
 
 # ---------------------------------------------------------------------------
@@ -1997,7 +1813,6 @@ def build_minhash_index(ds, index_dir: str, column: str = "text",
     os.makedirs(index_dir, exist_ok=True)
     for stale in glob.glob(os.path.join(index_dir, "shard-*.parquet*")):
         os.remove(stale)
-    env = package_runtime_env()
     rows = minhash_band_rows(ds, column, id_column, num_perm, bands, k)
 
     def add_shard(t: pa.Table) -> pa.Table:
@@ -2019,10 +1834,8 @@ def build_minhash_index(ds, index_dir: str, column: str = "text",
                          "rows": pa.array([group.num_rows],
                                           type=pa.int64())})
 
-    (rows.map_batches(add_shard, batch_format="pyarrow", runtime_env=env)
-         .groupby("shard")
-         .map_groups(write_shard, batch_format="pyarrow",
-                     runtime_env=env)).materialize()
+    map_groups(map_batches(rows, add_shard).groupby("shard"),
+               write_shard).materialize()
     tmp_meta = meta_path + ".tmp"
     with open(tmp_meta, "w") as f:
         json.dump(meta, f)
@@ -2055,7 +1868,6 @@ def minhash_pairs_incremental(new_ds, index_dir: str, *,
     meta = json.load(open(os.path.join(index_dir, "meta.json")))
     num_perm, bands, k = meta["num_perm"], meta["bands"], meta["k"]
     shards = meta["shards"]
-    env = package_runtime_env()
     new_rows = minhash_band_rows(
         new_ds, meta["column"], meta["id_column"], num_perm, bands,
         k).materialize()
@@ -2086,10 +1898,8 @@ def minhash_pairs_incremental(new_ds, index_dir: str, *,
                 np.full(t.num_rows, side, dtype=np.int8)))
         return f
 
-    both = seen_rows.map_batches(tag(1), batch_format="pyarrow",
-                                 runtime_env=env).union(
-        new_rows.map_batches(tag(0), batch_format="pyarrow",
-                             runtime_env=env))
+    both = map_batches(seen_rows, tag(1)).union(
+        map_batches(new_rows, tag(0)))
 
     def verify_cross(group: pa.Table) -> pa.Table:
         side = group.column("side").to_numpy(zero_copy_only=False)
@@ -2127,9 +1937,7 @@ def minhash_pairs_incremental(new_ds, index_dir: str, *,
         return pa.table({"seen_id": pa.array(keep, type=pa.int64()),
                          "new_id": pa.array(dup, type=pa.int64())})
 
-    return (both.groupby("band_key")
-                .map_groups(verify_cross, batch_format="pyarrow",
-                            runtime_env=env))
+    return map_groups(both.groupby("band_key"), verify_cross)
 
 
 def minhash_dedup_incremental(new_ds, index_dir: str, *,
@@ -2154,9 +1962,6 @@ def minhash_dedup_incremental(new_ds, index_dir: str, *,
     # the anti join reads its right side twice (bitmap, exact residual):
     # hold the matched ids once (O(matched) fixed-width rows in the object
     # store) instead of re-running the index probe and its shuffle
-    matched = pairs.map_batches(lambda t: t.select(["new_id"]),
-                                batch_format="pyarrow",
-                                runtime_env=package_runtime_env()
-                                ).materialize()
+    matched = map_batches(pairs, lambda t: t.select(["new_id"])).materialize()
     return bloom_semi_join(new_ds, matched, idc, right_key="new_id",
                            anti=True)

@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env
+from ..util import map_batches, map_groups
 
 
 def _valid_edges(batch: pa.Table, a_col: str, b_col: str) -> pa.Table:
@@ -87,7 +87,6 @@ def star_edges(ds, key_col: str, id_col: str):
     are the key's member lists (skewed keys hurt like any keyed op).
     Output: ``(a, b)`` int64 with ``a`` the group's min id, rows only for
     groups of size >= 2."""
-    env = package_runtime_env()
 
     def star(group: pa.Table) -> pa.Table:
         ids = np.unique(group.column(id_col).combine_chunks().drop_null()
@@ -98,8 +97,7 @@ def star_edges(ds, key_col: str, id_col: str):
         return pa.table({"a": pa.array(np.full(len(ids) - 1, ids[0])),
                          "b": pa.array(ids[1:])})
 
-    return ds.groupby(key_col).map_groups(star, batch_format="pyarrow",
-                                          runtime_env=env)
+    return map_groups(ds.groupby(key_col), star)
 
 
 def connected_components(edges, a_col: str = "a", b_col: str = "b", *,
@@ -141,8 +139,6 @@ def connected_components(edges, a_col: str = "a", b_col: str = "b", *,
     algorithm's working state; the driver holds only the convergence
     scalar."""
     from ray.data.aggregate import Min
-
-    env = package_runtime_env()
 
     def rename_min(batch: pa.Table) -> pa.Table:
         return pa.table({"v": batch.column("v"),
@@ -189,8 +185,7 @@ def connected_components(edges, a_col: str = "a", b_col: str = "b", *,
     # one-time O(|E|) materialization instead of re-running the producing
     # lineage (and its shuffles) every round
     msg_edges = _coalesced(
-        edges.map_batches(edge_msgs, batch_format="pyarrow",
-                          runtime_env=env).materialize())
+        map_batches(edges, edge_msgs).materialize())
 
     def verts(batch: pa.Table) -> pa.Table:
         # FUSED FIRST ROUND (VERDICT r4 #8): the init shuffle was paying a
@@ -209,16 +204,12 @@ def connected_components(edges, a_col: str = "a", b_col: str = "b", *,
             .group_by("v").aggregate([("lbl", "min")])
         return pa.table({"v": g.column("v"), "lbl": g.column("lbl_min")})
 
-    labels = (msg_edges.map_batches(verts, batch_format="pyarrow",
-                                    runtime_env=env)
-              .groupby("v").aggregate(Min("lbl"))
-              .map_batches(rename_min, batch_format="pyarrow",
-                           runtime_env=env)
-              .materialize())
+    labels = map_batches(
+        map_batches(msg_edges, verts).groupby("v").aggregate(Min("lbl")),
+        rename_min).materialize()
     if labels.count() == 0:
-        return labels.map_batches(
-            lambda b: b.rename_columns(["v", "component"]),
-            batch_format="pyarrow", runtime_env=env)
+        return map_batches(
+            labels, lambda b: b.rename_columns(["v", "component"]))
     labels = _coalesced(labels)
     n_label_blocks = labels.num_blocks()
 
@@ -253,15 +244,10 @@ def connected_components(edges, a_col: str = "a", b_col: str = "b", *,
 
     prev_sum = None
     for _ in range(max_iters):
-        tagged = msg_edges.union(
-            labels.map_batches(label_msgs, batch_format="pyarrow",
-                               runtime_env=env))
-        labels = (tagged.groupby("bkt")
-                  .map_groups(bucket_merge, batch_format="pyarrow",
-                              runtime_env=env)
-                  .groupby("v").aggregate(Min("lbl"))
-                  .map_batches(rename_min, batch_format="pyarrow",
-                               runtime_env=env)
+        tagged = msg_edges.union(map_batches(labels, label_msgs))
+        merged = (map_groups(tagged.groupby("bkt"), bucket_merge)
+                  .groupby("v").aggregate(Min("lbl")))
+        labels = (map_batches(merged, rename_min)
                   .repartition(n_label_blocks)
                   .materialize())
         s = labels.sum("lbl")
@@ -269,9 +255,7 @@ def connected_components(edges, a_col: str = "a", b_col: str = "b", *,
             break
         prev_sum = s
 
-    return labels.map_batches(
-        lambda b: b.rename_columns(["v", "component"]),
-        batch_format="pyarrow", runtime_env=env)
+    return map_batches(labels, lambda b: b.rename_columns(["v", "component"]))
 
 
 def pagerank(edges, src_col: str = "src", dst_col: str = "dst", *,
@@ -299,7 +283,6 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst", *,
     fixed block count so per-iteration task count stays constant."""
     from ray.data.aggregate import Max, Sum
 
-    env = package_runtime_env()
     d = float(damping)
 
     def bkt_of(k: np.ndarray) -> pa.Array:
@@ -323,8 +306,7 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst", *,
     # once overall (the connected_components recipe — deriving it from
     # `edges` directly would re-run any shuffle inside the producer).
     msg_edges = _coalesced(
-        edges.map_batches(edge_msgs, batch_format="pyarrow",
-                          runtime_env=env).materialize())
+        map_batches(edges, edge_msgs).materialize())
 
     def deg_parts(batch: pa.Table) -> pa.Table:
         s = batch.column("k").combine_chunks().to_numpy(
@@ -338,15 +320,13 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst", *,
             "od": pa.array(np.concatenate(
                 [cnts.astype(np.int64), np.zeros(len(dv), np.int64)]))})
 
-    deg = (msg_edges.map_batches(deg_parts, batch_format="pyarrow",
-                                 runtime_env=env)
+    deg = (map_batches(msg_edges, deg_parts)
            .groupby("v").aggregate(Sum("od")))
     n = deg.count()
     if n == 0:
-        return deg.map_batches(
-            lambda b: pa.table({"v": pa.array([], type=pa.int64()),
-                                "rank": pa.array([], type=pa.float64())}),
-            batch_format="pyarrow", runtime_env=env)
+        return map_batches(deg, lambda b: pa.table({
+            "v": pa.array([], type=pa.int64()),
+            "rank": pa.array([], type=pa.float64())}))
 
     def init_state(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -354,8 +334,7 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst", *,
             "p": pa.array(np.full(batch.num_rows, 1.0 / n)),
             "od": batch.column("sum(od)").cast(pa.int64())})
 
-    state = _coalesced(deg.map_batches(init_state, batch_format="pyarrow",
-                                       runtime_env=env).materialize())
+    state = _coalesced(map_batches(deg, init_state).materialize())
     n_state_blocks = state.num_blocks()
 
     def state_msgs(batch: pa.Table) -> pa.Table:
@@ -409,8 +388,7 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst", *,
                 [pc.sum(keep.column("p")).as_py() or 0.0],
                 type=pa.float64())})
 
-        dangling = sum(r["m"] for r in state.map_batches(
-            dang, batch_format="pyarrow", runtime_env=env).take_all())
+        dangling = sum(r["m"] for r in map_batches(state, dang).take_all())
         base = (1.0 - d) / n + d * dangling / n
 
         def finish(batch: pa.Table, base=base) -> pa.Table:
@@ -421,22 +399,15 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst", *,
                 "p": pa.array(base + c),
                 "od": batch.column("max(od)").cast(pa.int64())})
 
-        tagged = msg_edges.union(
-            state.map_batches(state_msgs, batch_format="pyarrow",
-                              runtime_env=env))
-        state = (tagged.groupby("bkt")
-                 .map_groups(bucket_spread, batch_format="pyarrow",
-                             runtime_env=env)
-                 .groupby("v").aggregate(Sum("c"), Max("od"))
-                 .map_batches(finish, batch_format="pyarrow",
-                              runtime_env=env)
+        tagged = msg_edges.union(map_batches(state, state_msgs))
+        spread = (map_groups(tagged.groupby("bkt"), bucket_spread)
+                  .groupby("v").aggregate(Sum("c"), Max("od")))
+        state = (map_batches(spread, finish)
                  .repartition(n_state_blocks)
                  .materialize())
 
-    return state.map_batches(
-        lambda b: pa.table({"v": b.column("v"),
-                            "rank": b.column("p")}),
-        batch_format="pyarrow", runtime_env=env)
+    return map_batches(state, lambda b: pa.table({"v": b.column("v"),
+                                                  "rank": b.column("p")}))
 
 
 def triangle_count(edges, a_col: str = "a", b_col: str = "b"):
@@ -470,8 +441,6 @@ def triangle_count(edges, a_col: str = "a", b_col: str = "b"):
 
     from .relational import hash_join
 
-    env = package_runtime_env()
-
     def canon(batch: pa.Table) -> pa.Table:
         batch = _valid_edges(batch, a_col, b_col)
         a = batch.column(a_col).combine_chunks().cast(pa.int64()) \
@@ -483,11 +452,9 @@ def triangle_count(edges, a_col: str = "a", b_col: str = "b"):
         t = pa.table({"x": pa.array(lo[keep]), "y": pa.array(hi[keep])})
         return t.group_by(["x", "y"]).aggregate([])   # block-local dedup
 
-    e = (edges.map_batches(canon, batch_format="pyarrow", runtime_env=env)
-              .groupby(["x", "y"]).aggregate(Count())
-              .map_batches(lambda t: t.select(["x", "y"]),
-                           batch_format="pyarrow", runtime_env=env)
-              .materialize())                     # reused by 3 consumers
+    e = map_batches(
+        map_batches(edges, canon).groupby(["x", "y"]).aggregate(Count()),
+        lambda t: t.select(["x", "y"])).materialize()  # reused by 3 consumers
     if e.count() == 0:
         # no surviving edges: an empty aggregate has no schema, which
         # would crash the joins below — return the empty result directly
@@ -503,17 +470,13 @@ def triangle_count(edges, a_col: str = "a", b_col: str = "b"):
         return pa.table({"v": vc.field("values"),
                          "__d": vc.field("counts").cast(pa.int64())})
 
-    deg = (e.map_batches(deg_partial, batch_format="pyarrow",
-                         runtime_env=env)
-            .groupby("v").aggregate(Sum("__d"))
-            .map_batches(lambda t: t.rename_columns(["v", "deg"]),
-                         batch_format="pyarrow", runtime_env=env)
-            .materialize())                       # joined twice below
+    deg = map_batches(
+        map_batches(e, deg_partial).groupby("v").aggregate(Sum("__d")),
+        lambda t: t.rename_columns(["v", "deg"])).materialize()  # joined twice
 
     ex = hash_join(e, deg, key="x", right_key="v")        # + deg of x
     exy = hash_join(
-        ex.map_batches(lambda t: t.rename_columns(
-            ["x", "y", "deg_x"]), batch_format="pyarrow", runtime_env=env),
+        map_batches(ex, lambda t: t.rename_columns(["x", "y", "deg_x"])),
         deg, key="y", right_key="v")                      # + deg of y
 
     def orient(t: pa.Table) -> pa.Table:
@@ -529,8 +492,7 @@ def triangle_count(edges, a_col: str = "a", b_col: str = "b"):
         return pa.table({"src": pa.array(np.where(x_first, x, y)),
                          "dst": pa.array(np.where(x_first, y, x))})
 
-    oriented = exy.map_batches(orient, batch_format="pyarrow",
-                               runtime_env=env)
+    oriented = map_batches(exy, orient)
 
     def wedges(group: pa.Table) -> pa.Table:
         u = group.column("src")[0].as_py()
@@ -546,9 +508,7 @@ def triangle_count(edges, a_col: str = "a", b_col: str = "b"):
         return pa.table({"u": pa.array(np.full(len(i), u, dtype=np.int64)),
                          "v": pa.array(nb[i]), "w": pa.array(nb[j])})
 
-    wedge_ds = (oriented.groupby("src")
-                        .map_groups(wedges, batch_format="pyarrow",
-                                    runtime_env=env))
+    wedge_ds = map_groups(oriented.groupby("src"), wedges)
     tri = hash_join(wedge_ds, e, key=["v", "w"], right_key=["x", "y"])
 
     def vert_partial(t: pa.Table) -> pa.Table:
@@ -558,8 +518,6 @@ def triangle_count(edges, a_col: str = "a", b_col: str = "b"):
         return pa.table({"v": vc.field("values"),
                          "__n": vc.field("counts").cast(pa.int64())})
 
-    return (tri.map_batches(vert_partial, batch_format="pyarrow",
-                            runtime_env=env)
-               .groupby("v").aggregate(Sum("__n"))
-               .map_batches(lambda t: t.rename_columns(["v", "n_tri"]),
-                            batch_format="pyarrow", runtime_env=env))
+    return map_batches(
+        map_batches(tri, vert_partial).groupby("v").aggregate(Sum("__n")),
+        lambda t: t.rename_columns(["v", "n_tri"]))

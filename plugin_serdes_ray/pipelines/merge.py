@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env
+from ..util import map_batches, map_groups
 from .relational import _key_join, _keys_valid, _null_route_64
 
 _OPS = ("upsert", "delete")
@@ -144,8 +144,7 @@ def broadcast_merge(snapshot, delta: pa.Table, key,
         # Arrow join: null snapshot keys never match -> they pass through
         return batch.join(kt, keys=keys, join_type="left anti")
 
-    kept = snapshot.map_batches(drop_matched, batch_format="pyarrow",
-                                runtime_env=package_runtime_env())
+    kept = map_batches(snapshot, drop_matched)
     if upsert_rows.num_rows == 0:
         return kept
     return kept.union(ray.data.from_arrow(upsert_rows))
@@ -291,7 +290,6 @@ def merge_changes(snapshot, delta, key, op_column: str | None = None,
             return empty
         return pa.concat_tables(pieces) if len(pieces) > 1 else pieces[0]
 
-    env = package_runtime_env()
     passthrough = None
     if bloom_bits is not None:
         from .relational import bloom_probe_hits, build_key_bloom
@@ -308,17 +306,10 @@ def merge_changes(snapshot, delta, key, op_column: str | None = None,
 
         # bloom misses (and null-key rows) are definitely unmatched:
         # emit map-only, never shuffle them
-        passthrough = snapshot.map_batches(
-            lambda b: split(b, False), batch_format="pyarrow",
-            runtime_env=env)
-        snapshot = snapshot.map_batches(
-            lambda b: split(b, True), batch_format="pyarrow",
-            runtime_env=env)
+        passthrough = map_batches(snapshot, lambda b: split(b, False))
+        snapshot = map_batches(snapshot, lambda b: split(b, True))
 
-    tagged = snapshot.map_batches(pad_snap, batch_format="pyarrow",
-                                  runtime_env=env).union(
-        delta.map_batches(pad_delta, batch_format="pyarrow",
-                          runtime_env=env))
-    merged = tagged.groupby("__mk").map_groups(
-        resolve, batch_format="pyarrow", runtime_env=env)
+    tagged = map_batches(snapshot, pad_snap).union(
+        map_batches(delta, pad_delta))
+    merged = map_groups(tagged.groupby("__mk"), resolve)
     return merged if passthrough is None else merged.union(passthrough)

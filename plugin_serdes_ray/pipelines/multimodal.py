@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
-from ..util import package_runtime_env
+from ..util import map_batches
 
 
 def _seed_from(data: bytes) -> int:
@@ -664,60 +664,55 @@ def decode_images(ds, column: str = "image", size: int = 32,
                   concurrency: int = 4, batch_size: int = 64):
     """Byte-heavy media => SMALL row batches (batch x concurrency bounded in
     bytes, SURVEY.md §4.2) and an actor pool (decoder state per actor)."""
-    return ds.map_batches(
-        ImageDecoder, fn_constructor_kwargs={"column": column, "size": size},
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency, num_cpus=1,
-        runtime_env=package_runtime_env())
+    return map_batches(
+        ds, ImageDecoder,
+        fn_constructor_kwargs={"column": column, "size": size},
+        batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1)
 
 
 def image_stats(ds, column: str = "image", concurrency: int = 4,
                 batch_size: int = 64):
     """Real-decode stats stage (width/height/channel means per image)."""
-    return ds.map_batches(
-        ImageStats, fn_constructor_kwargs={"column": column},
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency, num_cpus=1,
-        runtime_env=package_runtime_env())
+    return map_batches(
+        ds, ImageStats, fn_constructor_kwargs={"column": column},
+        batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1)
 
 
 def featurize_audio(ds, column: str = "audio", concurrency: int = 4,
                     batch_size: int = 64):
-    return ds.map_batches(
-        AudioFeaturizer, fn_constructor_kwargs={"column": column},
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency, num_cpus=1,
-        runtime_env=package_runtime_env())
+    return map_batches(
+        ds, AudioFeaturizer, fn_constructor_kwargs={"column": column},
+        batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1)
 
 
 def audio_stats(ds, column: str = "audio", concurrency: int = 4,
                 batch_size: int = 64):
     """Real-decode WAV stats stage (n_samples/rate/duration/rms per clip)."""
-    return ds.map_batches(
-        AudioStats, fn_constructor_kwargs={"column": column},
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency, num_cpus=1,
-        runtime_env=package_runtime_env())
+    return map_batches(
+        ds, AudioStats, fn_constructor_kwargs={"column": column},
+        batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1)
 
 
 def sample_frames(ds, column: str = "video", n_frames: int = 4,
                   concurrency: int = 4, batch_size: int = 16):
-    return ds.map_batches(
-        FrameSampler, fn_constructor_kwargs={"column": column,
-                                             "n_frames": n_frames},
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency, num_cpus=1,
-        runtime_env=package_runtime_env())
+    return map_batches(
+        ds, FrameSampler,
+        fn_constructor_kwargs={"column": column, "n_frames": n_frames},
+        batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1)
 
 
 def video_stats(ds, column: str = "video", concurrency: int = 4,
                 batch_size: int = 16):
     """Real-decode Y4M stats stage (n_frames/geometry/fps/mean luma)."""
-    return ds.map_batches(
-        VideoStats, fn_constructor_kwargs={"column": column},
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency, num_cpus=1,
-        runtime_env=package_runtime_env())
+    return map_batches(
+        ds, VideoStats, fn_constructor_kwargs={"column": column},
+        batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1)
 
 
 # ---------------------------------------------------------------------------
@@ -772,11 +767,10 @@ class ImageDHash:
 def image_dhash(ds, column: str = "image", concurrency: int = 4,
                 batch_size: int = 64):
     """Append a perceptual-hash column (see :func:`dhash64`)."""
-    return ds.map_batches(
-        ImageDHash, fn_constructor_kwargs={"column": column},
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency, num_cpus=1,
-        runtime_env=package_runtime_env())
+    return map_batches(
+        ds, ImageDHash, fn_constructor_kwargs={"column": column},
+        batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1)
 
 
 def audio_fingerprint64(data: bytes, frames: int = 9, bands: int = 9) -> int:
@@ -829,11 +823,10 @@ def audio_fingerprints(ds, column: str = "audio", concurrency: int = 4,
                        batch_size: int = 64):
     """Append the robust fingerprint column (see
     :func:`audio_fingerprint64`)."""
-    return ds.map_batches(
-        AudioFingerprint, fn_constructor_kwargs={"column": column},
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency, num_cpus=1,
-        runtime_env=package_runtime_env())
+    return map_batches(
+        ds, AudioFingerprint, fn_constructor_kwargs={"column": column},
+        batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1)
 
 
 def audio_near_duplicates(ds, column: str = "audio",
@@ -904,12 +897,11 @@ def video_near_duplicates(ds, column: str = "video",
     Video bytes never shuffle."""
     from .dedup import hash64_duplicates
 
-    hashed = ds.map_batches(
-        VideoFingerprint,
+    hashed = map_batches(
+        ds, VideoFingerprint,
         fn_constructor_kwargs={"column": column, "n_frames": n_frames},
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency, num_cpus=1,
-        runtime_env=package_runtime_env()).select_columns(
+        batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1).select_columns(
         [id_column, "vfp"])
     return hash64_duplicates(hashed, "vfp", id_column,
                              max_hamming=max_hamming, bands=bands)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env
+from ..util import map_batches
 
 
 def clean_web_corpus(ds, text_col: str = "text", id_col: str = "doc_id", *,
@@ -57,7 +57,6 @@ def clean_web_corpus(ds, text_col: str = "text", id_col: str = "doc_id", *,
     from .textstats import (c4_signals, canonicalize_text, gopher_filter,
                             gopher_signals)
 
-    env = package_runtime_env()
     canon = "__canonical"
 
     if c4_lines:
@@ -69,16 +68,14 @@ def clean_web_corpus(ds, text_col: str = "text", id_col: str = "doc_id", *,
                  for c in s.drop_columns([text_col]).column_names])
             return keep.select(b.column_names)
 
-        ds = ds.map_batches(c4_pass, batch_format="pyarrow",
-                            runtime_env=env)
+        ds = map_batches(ds, c4_pass)
     if boilerplate_min_df > 0:
         # replace=True keeps every other column in place — the corpus is
         # never re-joined to itself
         ds = remove_frequent_lines(
             ds, column=text_col, id_column=id_col,
-            min_df=boilerplate_min_df, replace=True).map_batches(
-            lambda b: b.drop_columns(["n_removed"]),
-            batch_format="pyarrow", runtime_env=env)
+            min_df=boilerplate_min_df, replace=True)
+        ds = map_batches(ds, lambda b: b.drop_columns(["n_removed"]))
 
     def quality_pass(b: pa.Table) -> pa.Table:
         scored = gopher_filter(gopher_signals(b, column=text_col),
@@ -88,12 +85,9 @@ def clean_web_corpus(ds, text_col: str = "text", id_col: str = "doc_id", *,
         kept = kept.select(b.column_names)          # drop signal columns
         return canonicalize_text(kept, text_col, out=canon)
 
-    scored = ds.map_batches(quality_pass, batch_format="pyarrow",
-                            runtime_env=env)
+    scored = map_batches(ds, quality_pass)
     deduped = exact_dedup(scored, canon, id_col)
-    deduped = deduped.map_batches(
-        lambda b: b.drop_columns([canon]), batch_format="pyarrow",
-        runtime_env=env)
+    deduped = map_batches(deduped, lambda b: b.drop_columns([canon]))
     if near_dedup:
         deduped = minhash_lsh_dedup(deduped, text_col, id_col)
     if dup_spans:
@@ -104,10 +98,9 @@ def clean_web_corpus(ds, text_col: str = "text", id_col: str = "doc_id", *,
         deduped = remove_duplicate_spans(
             deduped.materialize(), text_col, id_col,
             max_gram_occurrences=dup_span_max_occurrences,
-            replace=True).map_batches(
-            lambda b: b.drop_columns(["n_spans_removed",
-                                      "removed_chars"]),
-            batch_format="pyarrow", runtime_env=env)
+            replace=True)
+        deduped = map_batches(deduped, lambda b: b.drop_columns(
+            ["n_spans_removed", "removed_chars"]))
     return assign_splits(deduped, id_col,
                          splits or {"train": 0.98, "val": 0.01,
                                     "test": 0.01}, seed=seed)
@@ -144,12 +137,10 @@ def prepare_pretraining_shards(ds, out_dir: str, *,
     from .relational import global_shuffle, pack_sequences
     from .textstats import token_counts
 
-    env = package_runtime_env()
     cleaned = clean_web_corpus(ds, text_col, id_col, seed=seed,
                                **(clean_kwargs or {}))
-    counted = cleaned.map_batches(
-        lambda b: token_counts(b, column=text_col, bpe=False),
-        batch_format="pyarrow", runtime_env=env)
+    counted = map_batches(
+        cleaned, lambda b: token_counts(b, column=text_col, bpe=False))
     shuffled = global_shuffle(counted, id_col, seed=seed)
     packed = pack_sequences(shuffled, "ws_tokens", "rank", int(seq_len))
 
@@ -162,6 +153,5 @@ def prepare_pretraining_shards(ds, out_dir: str, *,
         return b.append_column(
             "shard_id", pa.array(bins % int(n_shards), type=pa.int64()))
 
-    sharded = packed.map_batches(shard_of, batch_format="pyarrow",
-                                 runtime_env=env)
+    sharded = map_batches(packed, shard_of)
     return write_partitioned(sharded, out_dir, "shard_id", resume=resume)

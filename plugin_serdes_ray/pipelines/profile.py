@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env
+from ..util import map_batches
 
 
 def _partial(batch: pa.Table, cols: Sequence[str]) -> pa.Table:
@@ -85,10 +85,9 @@ def profile(ds, columns: Optional[Sequence[str]] = None,
     other types report n/nulls only.  ``std`` is NULL for n < 2."""
     sch = ds.schema()
     cols = list(columns) if columns is not None else list(sch.names)
-    env = package_runtime_env()
-    parts = ds.select_columns(cols).map_batches(
-        lambda t: _partial(t, cols), batch_format="pyarrow",
-        runtime_env=env).take_all()   # O(columns x blocks) fixed-width rows
+    # O(columns x blocks) fixed-width rows
+    parts = map_batches(ds.select_columns(cols),
+                        lambda t: _partial(t, cols)).take_all()
 
     acc: dict = {}
     for r in parts:
@@ -177,7 +176,6 @@ def validate(ds, rules: Sequence[dict], *,
     import ray
     from ray.data.aggregate import Sum
 
-    env = package_runtime_env()
     map_rules = []          # (label, column, batch -> violation count)
     names_seen = set()
 
@@ -229,11 +227,11 @@ def validate(ds, rules: Sequence[dict], *,
             unique_cols.append((lab, col))
         elif kind == "ref":
             ref_ds, ref_col = r["ref"]
-            keys = ref_ds.select_columns([ref_col]).map_batches(
+            keys = map_batches(
+                ref_ds.select_columns([ref_col]),
                 lambda t, c=ref_col: pa.table(
                     {"k": pc.unique(t.column(c).combine_chunks()
-                                    .drop_null())}),
-                batch_format="pyarrow", runtime_env=env).take_all()
+                                    .drop_null())})).take_all()
             if len(keys) > ref_broadcast_limit:
                 raise ValueError(
                     f"validate ref:{col}: {len(keys)} reference keys "
@@ -260,8 +258,7 @@ def validate(ds, rules: Sequence[dict], *,
         return pa.table({"rule": pa.array(labs),
                          "v": pa.array(viols, type=pa.int64())})
 
-    parts = (ds.select_columns(cols_needed)
-               .map_batches(scan, batch_format="pyarrow", runtime_env=env)
+    parts = (map_batches(ds.select_columns(cols_needed), scan)
                .groupby("rule").aggregate(Sum("v")).take_all())
     totals = {p["rule"]: p["sum(v)"] for p in parts}
     n_rows = totals.pop("__rows", 0)
@@ -274,17 +271,12 @@ def validate(ds, rules: Sequence[dict], *,
             return pa.table({"val": vc.field(0),
                              "c": vc.field(1).cast(pa.int64())})
 
-        red = (ds.select_columns([col])
-                 .map_batches(vc_partial, batch_format="pyarrow",
-                              runtime_env=env)
-                 .groupby("val").aggregate(Sum("c"))
-                 .map_batches(
-                     lambda t: pa.table({
-                         "extra": pa.array([
-                             (pc.sum(t.column("sum(c)")).as_py() or 0)
-                             - t.num_rows], type=pa.int64())}),
-                     batch_format="pyarrow", runtime_env=env)
-                 .take_all())
+        sums = (map_batches(ds.select_columns([col]), vc_partial)
+                .groupby("val").aggregate(Sum("c")))
+        red = map_batches(sums, lambda t: pa.table({
+            "extra": pa.array([
+                (pc.sum(t.column("sum(c)")).as_py() or 0)
+                - t.num_rows], type=pa.int64())})).take_all()
         totals[lab] = sum(p["extra"] for p in red)
 
     order = []
@@ -326,9 +318,7 @@ def key_skew_report(ds, column: str, top: int = 10) -> pa.Table:
 
     # nulls drop BEFORE the groupby: Ray's sort-based key shuffle cannot
     # order None against strings, and count(column) excludes them anyway
-    keyed = ds.select_columns([column]).map_batches(
-        drop_null_key, batch_format="pyarrow",
-        runtime_env=package_runtime_env())
+    keyed = map_batches(ds.select_columns([column]), drop_null_key)
     counts = grouped_aggregate(keyed, [column], count_name="n") \
         .materialize()        # two consumers: the sort and the summary
     from ray.data.aggregate import Count, Max, Sum

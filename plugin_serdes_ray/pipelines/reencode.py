@@ -24,20 +24,11 @@ from typing import Optional
 import pyarrow as pa
 
 from ..container import write_partition
+from ..encode import sample_dataset
 from ..plan import EncodePlan, build_plan
 from ..state import checkpoint
-from ..util import package_runtime_env
+from ..util import map_groups
 from .relational import salt_counts_for_target, salted_key, sample_key_stats
-
-
-def scattered_sample_rows(ds, sample_rows: int, seed: int = 11) -> list:
-    """Plan-sample rows drawn ACROSS the input, not from its head: a plain
-    ``limit()`` reads only the first blocks, and on a sorted/clustered
-    corpus the head of the data is not the data (VERDICT r2 #6 — the same
-    defect encode.py's scattered row-group sampler fixed in r2). Permuting
-    the block order deterministically first makes the limit() draw from
-    blocks spread over the whole input."""
-    return ds.randomize_block_order(seed=seed).limit(sample_rows).take_all()
 
 
 def reencode_grouped(ds, out_dir: str, group_key: str = "lang", *,
@@ -59,8 +50,7 @@ def reencode_grouped(ds, out_dir: str, group_key: str = "lang", *,
     os.makedirs(out_dir, exist_ok=True)
     checkpoint.ensure_dirs(out_dir)
     if plan is None:
-        rows = scattered_sample_rows(ds, sample_rows)
-        plan = build_plan(pa.Table.from_pylist(rows).combine_chunks())
+        plan = build_plan(sample_dataset(ds, sample_rows, seed=11))
     # per-group plans re-measure cheaply via the per-chunk guard; the shared
     # plan still carries FSST tables etc.
     plan_ref = ray.put(plan)
@@ -102,10 +92,7 @@ def reencode_grouped(ds, out_dir: str, group_key: str = "lang", *,
                 "enc_bytes": metrics["enc_bytes"]})
         return pa.Table.from_pylist(out_rows)
 
-    stats = (salted.groupby("__salted")
-             .map_groups(encode_group, batch_format="pyarrow",
-                         runtime_env=package_runtime_env())
-             .take_all())
+    stats = map_groups(salted.groupby("__salted"), encode_group).take_all()
     raw = sum(r["raw_bytes"] for r in stats)
     enc = sum(r["enc_bytes"] for r in stats)
     return {"groups": len(stats), "rows": sum(r["rows"] for r in stats),

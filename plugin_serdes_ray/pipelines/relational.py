@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env
+from ..util import map_batches, map_groups
 
 
 def grouped_aggregate(ds, keys: Sequence[str], sum_cols: Sequence[str] = (),
@@ -76,17 +76,16 @@ def grouped_aggregate(ds, keys: Sequence[str], sum_cols: Sequence[str] = (),
             cols[count_name] = batch.column("sum(__cnt)").cast(pa.int64())
         return pa.table(cols)
 
-    env = package_runtime_env()
     aggs = [Sum(f"__s_{c}") for c in sum_all]
     aggs += [Sum(f"__n_{c}") for c in mean_cols]
     if count_name:
         aggs.append(Sum("__cnt"))
     # native reduce: no per-group python call, so a million-key aggregate
     # costs one shuffle + vectorized sums, not a million UDF invocations
-    return (ds.map_batches(partial, batch_format="pyarrow", runtime_env=env)
-              .groupby(keys if len(keys) > 1 else keys[0])
-              .aggregate(*aggs)
-              .map_batches(rename, batch_format="pyarrow", runtime_env=env))
+    agg = (map_batches(ds, partial)
+           .groupby(keys if len(keys) > 1 else keys[0])
+           .aggregate(*aggs))
+    return map_batches(agg, rename)
 
 
 def broadcast_join(ds, small: pa.Table, key,
@@ -104,8 +103,7 @@ def broadcast_join(ds, small: pa.Table, key,
         right = ray.get(ref)
         return batch.join(right, keys=keys, join_type=join_type)
 
-    return ds.map_batches(join_batch, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, join_batch)
 
 
 def cross_join(ds, small: pa.Table, max_small_rows: int = 100_000):
@@ -152,8 +150,7 @@ def cross_join(ds, small: pa.Table, max_small_rows: int = 100_000):
                 t = t.append_column(name, col)
             yield t
 
-    return ds.map_batches(expand, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, expand)
 
 
 def _int_bounds(t: pa.DataType):
@@ -346,10 +343,8 @@ def hash_join(left, right, key, right_key=None,
                     "__jk", _jk(sub, np.full(sub.num_rows, sval, np.int64))))
         return pa.concat_tables(pieces) if len(pieces) > 1 else pieces[0]
 
-    env = package_runtime_env()
-    tagged = left.map_batches(pad_left, batch_format="pyarrow",
-                              runtime_env=env).union(
-        right.map_batches(pad_right, batch_format="pyarrow", runtime_env=env))
+    tagged = map_batches(left, pad_left).union(
+        map_batches(right, pad_right))
 
     empty = {nm: pa.array([], type=out_types[nm]) for nm in out_names}
 
@@ -408,9 +403,7 @@ def hash_join(left, right, key, right_key=None,
             return pa.table(empty)
         return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
 
-    return (tagged.groupby("__jk")
-            .map_groups(join_group, batch_format="pyarrow",
-                        runtime_env=package_runtime_env()))
+    return map_groups(tagged.groupby("__jk"), join_group)
 
 
 def _key_as_str(col) -> pa.Array:
@@ -538,13 +531,9 @@ def semi_join(left, right, key, right_key=None, anti: bool = False):
             return empty
         return group.take(idx).select(l_names)
 
-    env = package_runtime_env()
-    tagged = left.map_batches(pad_left, batch_format="pyarrow",
-                              runtime_env=env).union(
-        right.map_batches(pad_right, batch_format="pyarrow", runtime_env=env))
-    return (tagged.groupby("__jk")
-            .map_groups(emit_group, batch_format="pyarrow",
-                        runtime_env=package_runtime_env()))
+    tagged = map_batches(left, pad_left).union(
+        map_batches(right, pad_right))
+    return map_groups(tagged.groupby("__jk"), emit_group)
 
 
 def anti_join(left, right, key, right_key=None):
@@ -571,7 +560,6 @@ def build_key_bloom(side, side_keys: list, *, out_keys: list,
     from .dedup import _content_hash64
 
     nwords = bits >> 6
-    env = package_runtime_env()
 
     def build_partial(batch: pa.Table) -> pa.Table:
         kt = batch.filter(_keys_valid(batch, side_keys))
@@ -589,11 +577,9 @@ def build_key_bloom(side, side_keys: list, *, out_keys: list,
         return pa.table({"bm": pa.array([acc.tobytes()],
                                         type=pa.large_binary())})
 
-    bm = side.map_batches(build_partial, batch_format="pyarrow",
-                          runtime_env=env).materialize()
+    bm = map_batches(side, build_partial).materialize()
     while bm.count() > 1:
-        bm = bm.map_batches(or_batch, batch_size=64, batch_format="pyarrow",
-                            runtime_env=env).materialize()
+        bm = map_batches(bm, or_batch, batch_size=64).materialize()
     rows = bm.take_all()
     words = (np.frombuffer(rows[0]["bm"], dtype=np.uint64) if rows
              else np.zeros(nwords, dtype=np.uint64))
@@ -648,7 +634,6 @@ def bloom_semi_join(left, right, key, right_key=None, *, anti: bool = False,
         [right_key] if isinstance(right_key, str) else list(right_key))
     l_schema = left.schema()
     l_types = {nm: t for nm, t in zip(l_schema.names, l_schema.types)}
-    env = package_runtime_env()
 
     ref = build_key_bloom(right, right_keys, out_keys=keys,
                           out_types=l_types, bits=bits,
@@ -658,12 +643,10 @@ def bloom_semi_join(left, right, key, right_key=None, *, anti: bool = False,
         hits = bloom_probe_hits(batch, keys, ray.get(ref), num_hashes)
         return batch.filter(pa.array(hits if want_hits else ~hits))
 
-    maybe = left.map_batches(lambda b: probe(b, True),
-                             batch_format="pyarrow", runtime_env=env)
+    maybe = map_batches(left, lambda b: probe(b, True))
     if not anti:
         return semi_join(maybe, right, keys, right_key=right_keys)
-    definite = left.map_batches(lambda b: probe(b, False),
-                                batch_format="pyarrow", runtime_env=env)
+    definite = map_batches(left, lambda b: probe(b, False))
     residual = semi_join(maybe, right, keys, right_key=right_keys, anti=True)
     return definite.union(residual)
 
@@ -829,9 +812,8 @@ def window_functions(ds, by, order_by: str, specs: dict):
                 raise ValueError(f"unknown window spec {spec!r}")
         return pa.table(cols)
 
-    return (ds.groupby(by_keys if len(by_keys) > 1 else by_keys[0])
-            .map_groups(apply, batch_format="pyarrow",
-                        runtime_env=package_runtime_env()))
+    return map_groups(
+        ds.groupby(by_keys if len(by_keys) > 1 else by_keys[0]), apply)
 
 
 def rollup_aggregate(ds, keys: Sequence[str], sum_cols: Sequence[str] = (),
@@ -859,7 +841,6 @@ def pivot_aggregate(ds, key, pivot_col: str, pivot_values: Sequence,
     keys = [key] if isinstance(key, str) else list(key)
     prefix = prefix if prefix is not None else f"{value_col}_"
     pv_names = {v: f"{prefix}{v}" for v in pivot_values}
-    env = package_runtime_env()
 
     def partial(batch: pa.Table) -> pa.Table:
         pcol = batch.column(pivot_col)
@@ -889,10 +870,10 @@ def pivot_aggregate(ds, key, pivot_col: str, pivot_values: Sequence,
         return pa.table(cols)
 
     aggs = [Sum(f"__p_{nm}") for nm in pv_names.values()]
-    return (ds.map_batches(partial, batch_format="pyarrow", runtime_env=env)
-              .groupby(keys if len(keys) > 1 else keys[0])
-              .aggregate(*aggs)
-              .map_batches(rename, batch_format="pyarrow", runtime_env=env))
+    agg = (map_batches(ds, partial)
+           .groupby(keys if len(keys) > 1 else keys[0])
+           .aggregate(*aggs))
+    return map_batches(agg, rename)
 
 
 def unpivot(ds, id_cols: Sequence[str], value_cols: Sequence[str],
@@ -931,8 +912,7 @@ def unpivot(ds, id_cols: Sequence[str], value_cols: Sequence[str],
             t = t.append_column(value_name, batch.column(vc).cast(target))
             yield t
 
-    return ds.map_batches(fn, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, fn)
 
 
 def explode(ds, list_col: str, *, pos_col: Optional[str] = None,
@@ -996,8 +976,7 @@ def explode(ds, list_col: str, *, pos_col: Optional[str] = None,
             t = t.append_column(pos_col, pos_vals)
         return t.append_column(out_name, vals)
 
-    return ds.map_batches(fn, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, fn)
 
 
 def sliding_window_aggregate(ds, ts_column: str, window: str = "1h",
@@ -1026,8 +1005,7 @@ def sliding_window_aggregate(ds, ts_column: str, window: str = "1h",
             "window_start", pa.array(starts).cast(pa.timestamp("us")))
         return out
 
-    expanded = ds.map_batches(expand, batch_format="pyarrow",
-                              runtime_env=package_runtime_env())
+    expanded = map_batches(ds, expand)
     return grouped_aggregate(expanded, ["window_start", *keys],
                              count_name=count_name)
 
@@ -1067,9 +1045,7 @@ def sessionize(ds, user_column: str, ts_column: str, gap: str = "30m"):
             "n_events": pa.array((ends - starts + 1).astype(np.int64)),
         })
 
-    return (ds.groupby(user_column)
-            .map_groups(split, batch_format="pyarrow",
-                        runtime_env=package_runtime_env()))
+    return map_groups(ds.groupby(user_column), split)
 
 
 def funnel(ds, user_col: str, ts_col: str, event_col: str,
@@ -1108,7 +1084,6 @@ def funnel(ds, user_col: str, ts_col: str, event_col: str,
     win = None
     if within is not None:
         win = duration_us(within) if isinstance(within, str) else int(within)
-    env = package_runtime_env()
 
     def ts_int(col):
         if pa.types.is_timestamp(col.type):
@@ -1147,18 +1122,14 @@ def funnel(ds, user_col: str, ts_col: str, event_col: str,
     counts = []
     frontier = None
     for step in steps:
-        ev = ds.map_batches(step_events(step), batch_format="pyarrow",
-                            runtime_env=env)
+        ev = map_batches(ds, step_events(step))
         if frontier is not None:
-            ev = hash_join(ev, frontier, key=user_col).map_batches(
-                after_prev, batch_format="pyarrow", runtime_env=env)
+            ev = map_batches(hash_join(ev, frontier, key=user_col), after_prev)
         aggs = [Min(ts_col)]
         if win is not None and frontier is not None:
             aggs.append(Min("__t1"))
-        frontier = (ev.groupby(user_col).aggregate(*aggs)
-                      .map_batches(to_frontier, batch_format="pyarrow",
-                                   runtime_env=env)
-                      .materialize())
+        frontier = map_batches(ev.groupby(user_col).aggregate(*aggs),
+                               to_frontier).materialize()
         counts.append(frontier.count())
         if counts[-1] == 0:
             # nobody reached this step — every later step is 0 (and an
@@ -1235,11 +1206,8 @@ def asof_join(left, right, on: str, by: str,
         mask = pc.and_(pc.is_valid(t.column(by)), pc.is_valid(t.column(on)))
         return t.filter(mask)
 
-    env = package_runtime_env()
-    tagged = left.map_batches(lambda b: pad(b, 0), batch_format="pyarrow",
-                              runtime_env=env).union(
-        right.map_batches(lambda b: pad(b, 1), batch_format="pyarrow",
-                          runtime_env=env))
+    tagged = map_batches(left, lambda b: pad(b, 0)).union(
+        map_batches(right, lambda b: pad(b, 1)))
 
     empty = {nm: pa.array([], type=out_types[nm]) for nm in out_names}
 
@@ -1274,9 +1242,7 @@ def asof_join(left, right, on: str, by: str,
             return pa.concat_tables([matched, unmatched])
         return matched
 
-    joined = (tagged.groupby(by)
-              .map_groups(merge, batch_format="pyarrow",
-                          runtime_env=package_runtime_env()))
+    joined = map_groups(tagged.groupby(by), merge)
     if join_type != "left":
         return joined
 
@@ -1291,8 +1257,7 @@ def asof_join(left, right, on: str, by: str,
                 for nm in out_names}
         return pa.table(cols)
 
-    return joined.union(left.map_batches(null_key_left, batch_format="pyarrow",
-                                         runtime_env=env))
+    return joined.union(map_batches(left, null_key_left))
 
 
 def interval_join(left, right, on: str, by: str, lo_col: str, hi_col: str,
@@ -1362,11 +1327,8 @@ def interval_join(left, right, on: str, by: str, lo_col: str, hi_col: str,
             mask = pc.and_(mask, pc.is_valid(t.column(on)))
         return t.filter(mask)
 
-    env = package_runtime_env()
-    tagged = left.map_batches(lambda b: pad(b, 0), batch_format="pyarrow",
-                              runtime_env=env).union(
-        right.map_batches(lambda b: pad(b, 1), batch_format="pyarrow",
-                          runtime_env=env))
+    tagged = map_batches(left, lambda b: pad(b, 0)).union(
+        map_batches(right, lambda b: pad(b, 1)))
     empty = {nm: pa.array([], type=out_types[nm]) for nm in out_names}
     lo_out, hi_out = out_r[lo_col], out_r[hi_col]
 
@@ -1432,9 +1394,7 @@ def interval_join(left, right, on: str, by: str, lo_col: str, hi_col: str,
                 for nm in out_names}
         return pa.table(cols)
 
-    return (tagged.groupby(by)
-            .map_groups(merge, batch_format="pyarrow",
-                        runtime_env=package_runtime_env()))
+    return map_groups(tagged.groupby(by), merge)
 
 
 def count_distinct(ds, column: str) -> int:
@@ -1446,8 +1406,7 @@ def count_distinct(ds, column: str) -> int:
         u = pc.unique(batch.column(column).combine_chunks())
         return pa.table({column: pc.drop_null(u)})
 
-    env = package_runtime_env()
-    shrunk = ds.map_batches(shrink, batch_format="pyarrow", runtime_env=env)
+    shrunk = map_batches(ds, shrink)
     # native grouped count (no per-group python call), then count key rows
     return int(shrunk.groupby(column).count().count())
 
@@ -1516,13 +1475,11 @@ def _order_statistics(ds, column: str, make_ranks, n_buckets: int):
     value})`` — or ``(None, None)`` when the column is empty and
     ``(constant, None)`` when all values are equal (callers propagate)."""
     col = ds.select_columns([column])
-    stats = col.map_batches(
-        lambda b: pa.table({
-            "lo": [pc.min(b.column(column)).as_py()],
-            "hi": [pc.max(b.column(column)).as_py()],
-            "n": [b.num_rows - b.column(column).null_count],
-        }),
-        batch_format="pyarrow", runtime_env=package_runtime_env()).take_all()
+    stats = map_batches(col, lambda b: pa.table({
+        "lo": [pc.min(b.column(column)).as_py()],
+        "hi": [pc.max(b.column(column)).as_py()],
+        "n": [b.num_rows - b.column(column).null_count],
+    })).take_all()
     stats = [s for s in stats if s["n"]]
     if not stats:
         return None, None
@@ -1544,8 +1501,7 @@ def _order_statistics(ds, column: str, make_ranks, n_buckets: int):
         return pa.table({"bucket": pa.array(uniq),
                          "cnt": pa.array(counts.astype(np.int64))})
 
-    rows = col.map_batches(hist, batch_format="pyarrow",
-                          runtime_env=package_runtime_env()).take_all()
+    rows = map_batches(col, hist).take_all()
     counts = np.zeros(n_buckets, dtype=np.int64)
     for r in rows:
         counts[r["bucket"]] += r["cnt"]
@@ -1577,8 +1533,7 @@ def _order_statistics(ds, column: str, make_ranks, n_buckets: int):
                          "c": pa.array(cnts.astype(np.int64))})
 
     agg: dict = {}
-    for r in col.map_batches(collect, batch_format="pyarrow",
-                            runtime_env=package_runtime_env()).take_all():
+    for r in map_batches(col, collect).take_all():
         agg[r["v"]] = agg.get(r["v"], 0) + r["c"]
     svals = sorted(agg)                      # python ints/floats: exact
     vcnt = np.asarray([agg[v] for v in svals], dtype=np.int64)
@@ -1625,8 +1580,7 @@ def stratified_sample(ds, key: str, fractions: dict, id_column: str,
             thresh[valid] = fracs[ov[valid].astype(np.int64)]
         return batch.filter(pa.array(u < thresh))
 
-    return ds.map_batches(pick, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, pick)
 
 
 def top_k(ds, column: str, k: int = 10, descending: bool = True) -> pa.Table:
@@ -1643,8 +1597,7 @@ def top_k(ds, column: str, k: int = 10, descending: bool = True) -> pa.Table:
                                     order=order)
         return batch.take(idx[: min(k, batch.num_rows)])
 
-    refs = ds.map_batches(local, batch_format="pyarrow",
-                          runtime_env=package_runtime_env()).to_arrow_refs()
+    refs = map_batches(ds, local).to_arrow_refs()
     tables = [tb for tb in ray.get(refs) if tb.num_columns]
     if not tables:
         # blocks that went empty mid-chain come back zero-column (Ray
@@ -1764,8 +1717,7 @@ def salted_key(ds, key: str, hot_keys: list = (), salt_n: int = 8,
             pc.fill_null(s, "null"), pa.array(salts.astype(str)), "#")
         return batch.append_column(out_column, out)
 
-    return ds.map_batches(add, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, add)
 
 
 def add_url_host(ds, url_column: str = "url", out_column: str = "host"):
@@ -1778,8 +1730,7 @@ def add_url_host(ds, url_column: str = "url", out_column: str = "host"):
         host = pc.struct_field(m, "host")
         return batch.append_column(out_column, host)
 
-    return ds.map_batches(extract, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, extract)
 
 
 _UNIT_US = {"s": 1_000_000, "m": 60_000_000, "h": 3_600_000_000,
@@ -1824,8 +1775,7 @@ def tumbling_window_aggregate(ds, ts_column: str, window: str = "1h",
         return batch.append_column(
             "window_start", pa.array(start).cast(pa.timestamp("us")))
 
-    with_w = ds.map_batches(add_window, batch_format="pyarrow",
-                            runtime_env=package_runtime_env())
+    with_w = map_batches(ds, add_window)
     return grouped_aggregate(with_w, ["window_start", *keys],
                              sum_cols=sum_cols, count_name=count_name)
 
@@ -1838,8 +1788,7 @@ def sort_within_partitions(ds, keys: Sequence[str]):
     def local_sort(batch: pa.Table) -> pa.Table:
         return batch.sort_by([(k, "ascending") for k in keys])
 
-    return ds.map_batches(local_sort, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, local_sort)
 
 
 def prefix_sum(ds, order_by: str, value_col: str, out_col: str = "cumsum",
@@ -1864,7 +1813,6 @@ def prefix_sum(ds, order_by: str, value_col: str, out_col: str = "cumsum",
     """
     import ray
 
-    env = package_runtime_env()
     sorted_ds = (ds if presorted else ds.sort(order_by)).materialize()
     sch = sorted_ds.schema()
     is_int = pa.types.is_integer(
@@ -1884,9 +1832,7 @@ def prefix_sum(ds, order_by: str, value_col: str, out_col: str = "cumsum",
 
     parts = sorted(
         ((r["k"], r["total"]) for r in
-         sorted_ds.map_batches(block_stat, batch_size=None,
-                               batch_format="pyarrow",
-                               runtime_env=env).take_all()),
+         map_batches(sorted_ds, block_stat, batch_size=None).take_all()),
         key=lambda kv: (kv[0] is None, kv[0]))
     if len({k for k, _ in parts}) != len(parts):
         raise ValueError(
@@ -1911,8 +1857,7 @@ def prefix_sum(ds, order_by: str, value_col: str, out_col: str = "cumsum",
             c -= v
         return batch.append_column(out_col, pa.array(c))
 
-    return sorted_ds.map_batches(add_scan, batch_size=None,
-                                 batch_format="pyarrow", runtime_env=env)
+    return map_batches(sorted_ds, add_scan, batch_size=None)
 
 
 def splitmix64(x: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -1954,7 +1899,6 @@ def zorder_key(ds, columns, bits: int = 16, *, zcol: str = "__z",
         aggs = [a for c in cols for a in (Min(c), Max(c))]
         got = ds.aggregate(*aggs)
         stats = {c: (got[f"min({c})"], got[f"max({c})"]) for c in cols}
-    env = package_runtime_env()
 
     def add_z(batch: pa.Table) -> pa.Table:
         z = np.zeros(batch.num_rows, dtype=np.uint64)
@@ -1972,7 +1916,7 @@ def zorder_key(ds, columns, bits: int = 16, *, zcol: str = "__z",
                     << np.uint64(i * k + j)
         return batch.append_column(zcol, pa.array(z.astype(np.int64)))
 
-    return ds.map_batches(add_z, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds, add_z)
 
 
 def zorder_sort(ds, columns, id_column: str, bits: int = 16, *,
@@ -1989,7 +1933,6 @@ def zorder_sort(ds, columns, id_column: str, bits: int = 16, *,
     ``decode_dataset(predicate=...)`` zone-map pruning skips chunks for
     predicates on ANY of the z-ordered columns, not just a single sort
     key."""
-    env = package_runtime_env()
     keyed = zorder_key(ds, columns, bits)
 
     def add_pk(batch: pa.Table) -> pa.Table:
@@ -2006,16 +1949,13 @@ def zorder_sort(ds, columns, id_column: str, bits: int = 16, *,
         return batch.append_column("__pk", key).append_column("__one", one)
 
     if rank_col is None:
-        return keyed.sort(["__z", id_column]).map_batches(
-            lambda t: t.drop_columns(["__z"]),
-            batch_format="pyarrow", runtime_env=env)
-    scanned = prefix_sum(keyed.map_batches(add_pk, batch_format="pyarrow",
-                                           runtime_env=env),
+        return map_batches(
+            keyed.sort(["__z", id_column]), lambda t: t.drop_columns(["__z"]))
+    scanned = prefix_sum(map_batches(keyed, add_pk),
                          "__pk", "__one", out_col=rank_col,
                          exclusive=True)
-    return scanned.map_batches(
-        lambda t: t.drop_columns(["__z", "__pk", "__one"]),
-        batch_format="pyarrow", runtime_env=env)
+    return map_batches(
+        scanned, lambda t: t.drop_columns(["__z", "__pk", "__one"]))
 
 
 def global_shuffle(ds, id_column: str, seed: int = 0, *,
@@ -2032,7 +1972,6 @@ def global_shuffle(ds, id_column: str, seed: int = 0, *,
     and the rank comes from :func:`prefix_sum`'s O(blocks) offset pass —
     no second shuffle. Key collisions are ~n^2/2^65 and would only
     trip the prefix-scan's boundary guard, never silently misorder."""
-    env = package_runtime_env()
 
     def add_key(batch: pa.Table) -> pa.Table:
         col = batch.column(id_column)
@@ -2050,13 +1989,11 @@ def global_shuffle(ds, id_column: str, seed: int = 0, *,
         return batch.append_column("__shufkey", pa.array(k)) \
                     .append_column("__one", pa.array(one))
 
-    keyed = ds.map_batches(add_key, batch_format="pyarrow",
-                           runtime_env=env)
+    keyed = map_batches(ds, add_key)
     ranked = prefix_sum(keyed, "__shufkey", "__one", out_col=rank_col,
                         exclusive=True)
-    return ranked.map_batches(
-        lambda b: b.drop_columns(["__shufkey", "__one"]),
-        batch_format="pyarrow", runtime_env=env)
+    return map_batches(
+        ranked, lambda b: b.drop_columns(["__shufkey", "__one"]))
 
 
 def uniform_sample_k(ds, id_column: str, k: int, seed: int = 0) -> pa.Table:
@@ -2072,7 +2009,6 @@ def uniform_sample_k(ds, id_column: str, k: int, seed: int = 0) -> pa.Table:
     O(k·blocks) driver merge (the :func:`top_k` machinery) — no shuffle,
     no global sort. Null ids are dropped (the SQL-equivalent hash
     arithmetic yields NULL)."""
-    env = package_runtime_env()
 
     def add_key(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch.column(id_column)))
@@ -2083,8 +2019,7 @@ def uniform_sample_k(ds, id_column: str, k: int, seed: int = 0) -> pa.Table:
         key = (splitmix64(ids, seed) ^ np.uint64(1 << 63)).astype(np.int64)
         return batch.append_column("__uk", pa.array(key))
 
-    t = top_k(ds.map_batches(add_key, batch_format="pyarrow",
-                             runtime_env=env),
+    t = top_k(map_batches(ds, add_key),
               "__uk", k=k, descending=False)
     if "__uk" in t.column_names:
         return t.drop_columns(["__uk"])
@@ -2113,7 +2048,6 @@ def weighted_sample_k(ds, id_column: str, weight_column: str, k: int,
     ``WHERE w > 0``).  Scale shape: identical to :func:`uniform_sample_k`
     — one map-only key pass + per-block local top-k + O(k·blocks) driver
     merge; no shuffle, no global sort."""
-    env = package_runtime_env()
 
     def add_key(batch: pa.Table) -> pa.Table:
         w = pc.cast(batch.column(weight_column), pa.float64())
@@ -2130,8 +2064,7 @@ def weighted_sample_k(ds, id_column: str, weight_column: str, k: int,
         u = (splitmix64(ids, seed).astype(np.float64) + 0.5) / 2.0 ** 64
         return batch.append_column("__wk", pa.array(-np.log(u) / wv))
 
-    t = top_k(ds.map_batches(add_key, batch_format="pyarrow",
-                             runtime_env=env),
+    t = top_k(map_batches(ds, add_key),
               "__wk", k=k, descending=False)
     if "__wk" in t.column_names:
         return t.drop_columns(["__wk"])
@@ -2155,7 +2088,6 @@ def grouped_sample_k(ds, key, k: int, id_column: str, seed: int = 0):
     group's full membership. Null ids are dropped (the SQL-equivalent hash
     arithmetic yields NULL); null group keys form their own group, as in
     SQL GROUP BY."""
-    env = package_runtime_env()
 
     def add_key(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch.column(id_column)))
@@ -2164,11 +2096,9 @@ def grouped_sample_k(ds, key, k: int, id_column: str, seed: int = 0):
         kv = (splitmix64(ids, seed) ^ np.uint64(1 << 63)).astype(np.int64)
         return batch.append_column("__gk", pa.array(kv))
 
-    out = grouped_top_k(ds.map_batches(add_key, batch_format="pyarrow",
-                                       runtime_env=env),
+    out = grouped_top_k(map_batches(ds, add_key),
                         key, "__gk", k=k, descending=False)
-    return out.map_batches(lambda b: b.drop_columns(["__gk"]),
-                           batch_format="pyarrow", runtime_env=env)
+    return map_batches(out, lambda b: b.drop_columns(["__gk"]))
 
 
 def curriculum_order(ds, score_col: str, id_column: str, *,
@@ -2194,7 +2124,6 @@ def curriculum_order(ds, score_col: str, id_column: str, *,
     qs = [i / n_buckets for i in range(1, n_buckets)]
     bnds = exact_quantiles(ds, score_col, qs) if qs else {}
     b = np.asarray([bnds[q] for q in qs], dtype=np.float64)
-    env = package_runtime_env()
 
     def tag(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(
@@ -2209,7 +2138,7 @@ def curriculum_order(ds, score_col: str, id_column: str, *,
         return batch.append_column(bucket_col, pa.array(bucket)) \
                     .append_column(key_col, pa.array(key))
 
-    return ds.map_batches(tag, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds, tag)
 
 
 def assign_splits(ds, id_column: str, fractions: dict, *, seed: int = 0,
@@ -2231,7 +2160,6 @@ def assign_splits(ds, id_column: str, fractions: dict, *, seed: int = 0,
         raise ValueError("fractions must be non-negative and sum to 1")
     cum = np.cumsum(fracs)
     cum[-1] = 1.0 + 1e-12     # u < 1 always lands in the last split
-    env = package_runtime_env()
 
     def tag(batch: pa.Table) -> pa.Table:
         col = batch.column(id_column).combine_chunks()
@@ -2246,7 +2174,7 @@ def assign_splits(ds, id_column: str, fractions: dict, *, seed: int = 0,
                          pa.scalar(None, pa.string()))
         return batch.append_column(out_column, out)
 
-    return ds.map_batches(tag, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds, tag)
 
 
 def mixture_sample(ds, key: str, weights: dict, n_target: int,
@@ -2295,8 +2223,7 @@ def quantile_band_filter(ds, column: str, lo: float = 0.25,
         return batch.filter(pc.and_(pc.greater_equal(c, pa.scalar(vlo)),
                                     pc.less_equal(c, pa.scalar(vhi))))
 
-    return ds.map_batches(keep, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, keep)
 
 
 def value_histogram(ds, column: str, lo: float, hi: float,
@@ -2314,7 +2241,6 @@ def value_histogram(ds, column: str, lo: float, hi: float,
     if bins < 1 or not hi > lo:
         raise ValueError("need bins >= 1 and hi > lo")
     w = (hi - lo) / bins
-    env = package_runtime_env()
 
     def partial(t: pa.Table) -> pa.Table:
         v = t.column(column).combine_chunks().cast(pa.float64()) \
@@ -2327,8 +2253,7 @@ def value_histogram(ds, column: str, lo: float, hi: float,
                                              .tobytes()],
                                             type=pa.binary())})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          runtime_env=env).take_all()
+    rows = map_batches(ds, partial).take_all()
     total = np.zeros(bins, dtype=np.int64)
     for r in rows:
         total += np.frombuffer(r["counts"], dtype=np.int64)
@@ -2344,7 +2269,6 @@ def column_moments(ds, column: str) -> dict:
     max merge (the tree-reduce payload on a real cluster). The basis for
     :func:`normalize_column` and any threshold that needs global moments
     without a shuffle."""
-    env = package_runtime_env()
 
     def partial(t: pa.Table) -> pa.Table:
         v = t.column(column).combine_chunks().cast(pa.float64())
@@ -2361,8 +2285,7 @@ def column_moments(ds, column: str) -> dict:
                          "mn": pa.array([float(a.min())]),
                          "mx": pa.array([float(a.max())])})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          runtime_env=env).take_all()
+    rows = map_batches(ds, partial).take_all()
     n = sum(r["n"] for r in rows)
     sx = sum(r["sx"] for r in rows)
     sxx = sum(r["sxx"] for r in rows)
@@ -2401,7 +2324,6 @@ def normalize_column(ds, column: str, *, method: str = "zscore",
         else:
             base = m["min"]
             scale = (m["max"] - m["min"]) if m["max"] is not None else None
-    env = package_runtime_env()
 
     def xf(t: pa.Table) -> pa.Table:
         v = t.column(column).combine_chunks().cast(pa.float64())
@@ -2412,7 +2334,7 @@ def normalize_column(ds, column: str, *, method: str = "zscore",
                           pa.scalar(float(scale)))
         return t.append_column(out, z)
 
-    return ds.map_batches(xf, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds, xf)
 
 
 def winsorize(ds, column: str, lo: float = 0.05, hi: float = 0.95, *,
@@ -2429,7 +2351,6 @@ def winsorize(ds, column: str, lo: float = 0.05, hi: float = 0.95, *,
     out = out_column or f"{column}_wins"
     q = exact_quantiles(ds, column, [lo, hi])
     vlo, vhi = q[lo], q[hi]
-    env = package_runtime_env()
 
     def clamp(t: pa.Table) -> pa.Table:
         v = t.column(column).combine_chunks().cast(pa.float64())
@@ -2444,7 +2365,7 @@ def winsorize(ds, column: str, lo: float = 0.05, hi: float = 0.95, *,
                 pa.scalar(float(vhi)), skip_nulls=False)
         return t.append_column(out, z)
 
-    return ds.map_batches(clamp, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds, clamp)
 
 
 def pack_sequences(ds, cost_col: str, id_col: str, seq_len: int, *,
@@ -2459,7 +2380,6 @@ def pack_sequences(ds, cost_col: str, id_col: str, seq_len: int, *,
     computed without moving any text. One sort + two map-only passes."""
     if seq_len <= 0:
         raise ValueError("seq_len must be positive")
-    env = package_runtime_env()
     with_start = prefix_sum(ds, id_col, cost_col, out_col="__start",
                             exclusive=True)
 
@@ -2471,8 +2391,7 @@ def pack_sequences(ds, cost_col: str, id_col: str, seq_len: int, *,
             bin_col, pa.array(s // seq_len)).append_column(
             offset_col, pa.array(s % seq_len))
 
-    return with_start.map_batches(to_bins, batch_format="pyarrow",
-                                  runtime_env=env)
+    return map_batches(with_start, to_bins)
 
 
 def grouped_quantiles(ds, by, column: str, qs: dict[str, float]):
@@ -2511,10 +2430,9 @@ def grouped_quantiles(ds, by, column: str, qs: dict[str, float]):
             cols[name] = sv.slice(min(rank, n) - 1, 1)
         return pa.table(cols)
 
-    return (ds.select_columns(list(dict.fromkeys(by_keys + [column])))
-              .groupby(by_keys if len(by_keys) > 1 else by_keys[0])
-              .map_groups(apply, batch_format="pyarrow",
-                          runtime_env=package_runtime_env()))
+    return map_groups(
+        ds.select_columns(list(dict.fromkeys(by_keys + [column])))
+        .groupby(by_keys if len(by_keys) > 1 else by_keys[0]), apply)
 
 
 def string_agg(ds, by, column: str, sep: str = ",",
@@ -2546,10 +2464,9 @@ def string_agg(ds, by, column: str, sep: str = ",",
             cols[out] = pc.binary_join(lst, sep)
         return pa.table(cols)
 
-    return (ds.select_columns(need)
-              .groupby(by_keys if len(by_keys) > 1 else by_keys[0])
-              .map_groups(apply, batch_format="pyarrow",
-                          runtime_env=package_runtime_env()))
+    return map_groups(
+        ds.select_columns(need)
+        .groupby(by_keys if len(by_keys) > 1 else by_keys[0]), apply)
 
 
 def set_op(left, right, op: str):
@@ -2592,10 +2509,8 @@ def set_op(left, right, op: str):
     lnames = list(lschema.names)
     if len(lnames) != len(right.schema().names):
         raise ValueError("set_op sides must have the same column count")
-    env = package_runtime_env()
-    tagged = left.map_batches(tag("l"), batch_format="pyarrow",
-                              runtime_env=env).union(
-        right.map_batches(tag("r"), batch_format="pyarrow", runtime_env=env))
+    tagged = map_batches(left, tag("l")).union(
+        map_batches(right, tag("r")))
 
     from ray.data.aggregate import Sum
 
@@ -2638,7 +2553,7 @@ def set_op(left, right, op: str):
             keep = pc.and_(pc.greater(l, 0), pc.greater(r, 0))
         yield batch.filter(keep).select(lnames)
 
-    return merged.map_batches(emit, batch_format="pyarrow", runtime_env=env)
+    return map_batches(merged, emit)
 
 
 def _group_ranks(t: pa.Table, by_keys: Sequence[str]) -> np.ndarray:
@@ -2689,10 +2604,9 @@ def grouped_top_k(ds, by, order_col: str, k: int = 3,
         s = t.take(pc.sort_indices(t, sort_keys=sort_keys))
         return s.filter(pa.array(_group_ranks(s, by_keys) < k))
 
-    env = package_runtime_env()
-    return (ds.map_batches(select, batch_format="pyarrow", runtime_env=env)
-              .groupby(by_keys if len(by_keys) > 1 else by_keys[0])
-              .map_groups(select, batch_format="pyarrow", runtime_env=env))
+    return map_groups(
+        map_batches(ds, select)
+        .groupby(by_keys if len(by_keys) > 1 else by_keys[0]), select)
 
 
 def grouped_mode(ds, by, column: str, count_name: str = "n"):
@@ -2710,9 +2624,8 @@ def grouped_mode(ds, by, column: str, count_name: str = "n"):
     Output columns: the group keys, ``column`` (the mode), ``count_name``
     (its count)."""
     by_keys = [by] if isinstance(by, str) else list(by)
-    filtered = ds.map_batches(
-        lambda t: t.filter(pc.is_valid(t.column(column))),
-        batch_format="pyarrow", runtime_env=package_runtime_env())
+    filtered = map_batches(
+        ds, lambda t: t.filter(pc.is_valid(t.column(column))))
     counts = grouped_aggregate(filtered, [*by_keys, column],
                                count_name=count_name)
     return grouped_top_k(counts, by_keys, count_name, k=1,
@@ -2761,9 +2674,7 @@ def grouped_stats(ds, by, x: str, y: Optional[str] = None):
 
     from ray.data.aggregate import Sum
 
-    env = package_runtime_env()
-    part_ds = ds.select_columns(need).map_batches(
-        partial, batch_format="pyarrow", runtime_env=env)
+    part_ds = map_batches(ds.select_columns(need), partial)
     sum_cols = ["__n", "__sx", "__sxx"] + \
         (["__np", "__spx", "__spy", "__spxx", "__spyy", "__spxy"] if y else [])
     merged = (part_ds.groupby(by_keys if len(by_keys) > 1 else by_keys[0])
@@ -2798,7 +2709,7 @@ def grouped_stats(ds, by, x: str, y: Optional[str] = None):
             out[f"corr_{x}_{y}"] = pa.array(corr, mask=~((np_ > 1) & (den > 0)))
         return pa.table(out)
 
-    return merged.map_batches(finish, batch_format="pyarrow", runtime_env=env)
+    return map_batches(merged, finish)
 
 
 def grouped_linreg(ds, by, x: str, y: str):
@@ -2843,9 +2754,7 @@ def grouped_linreg(ds, by, x: str, y: str):
 
     from ray.data.aggregate import Sum
 
-    env = package_runtime_env()
-    part_ds = ds.select_columns(need).map_batches(
-        partial, batch_format="pyarrow", runtime_env=env)
+    part_ds = map_batches(ds.select_columns(need), partial)
     sum_cols = ["__n", "__sx", "__sy", "__sxy", "__sxx", "__syy"]
     merged = (part_ds.groupby(by_keys if len(by_keys) > 1 else by_keys[0])
                      .aggregate(*[Sum(c) for c in sum_cols]))
@@ -2881,7 +2790,7 @@ def grouped_linreg(ds, by, x: str, y: str):
         out["r2"] = pa.array(r2, mask=~ok)
         return pa.table(out)
 
-    return merged.map_batches(finish, batch_format="pyarrow", runtime_env=env)
+    return map_batches(merged, finish)
 
 
 def grouping_sets_aggregate(ds, keys: Sequence[str], sets: Sequence[Sequence[str]],
@@ -2898,7 +2807,6 @@ def grouping_sets_aggregate(ds, keys: Sequence[str], sets: Sequence[Sequence[str
     from ray.data.aggregate import Sum
 
     keys = list(keys)
-    env = package_runtime_env()
     schema = ds.schema()
     key_types = {k: schema.types[list(schema.names).index(k)] for k in keys}
     cnt = count_name or "__gs_cnt"      # always carry a count internally:
@@ -2919,10 +2827,8 @@ def grouping_sets_aggregate(ds, keys: Sequence[str], sets: Sequence[Sequence[str
         if s_keys:
             g = finest.groupby(s_keys if len(s_keys) > 1 else s_keys[0])
         else:
-            tagged = finest.map_batches(
-                lambda t: t.append_column("__all", pa.array(
-                    np.zeros(t.num_rows, dtype=np.int8))),
-                batch_format="pyarrow", runtime_env=env)
+            tagged = map_batches(finest, lambda t: t.append_column(
+                "__all", pa.array(np.zeros(t.num_rows, dtype=np.int8))))
             g = tagged.groupby("__all")
         out = g.aggregate(*[Sum(c) for c in agg_src])
 
@@ -2932,8 +2838,7 @@ def grouping_sets_aggregate(ds, keys: Sequence[str], sets: Sequence[Sequence[str
                 cols[c] = batch.column(f"sum({c})")
             return pa.table(cols)
 
-        return out.map_batches(unwrap, batch_format="pyarrow",
-                               runtime_env=env)
+        return map_batches(out, unwrap)
 
     out_levels = []
     for s in sets:
@@ -2950,8 +2855,7 @@ def grouping_sets_aggregate(ds, keys: Sequence[str], sets: Sequence[Sequence[str
                 cols[count_name] = batch.column(cnt)
             return pa.table(cols)
 
-        out_levels.append(agg.map_batches(pad, batch_format="pyarrow",
-                                          runtime_env=env))
+        out_levels.append(map_batches(agg, pad))
     out = out_levels[0]
     for lv in out_levels[1:]:
         out = out.union(lv)
@@ -2999,7 +2903,6 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
 
     from ..util import grouped_rename_positional
 
-    env = package_runtime_env()
     scale = int(period_s) * 1_000_000   # timestamps are microseconds
 
     def distinct_periods(batch: pa.Table) -> pa.Table:
@@ -3033,21 +2936,15 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
             g, ["cohort", "offset"], ["__n"]).select(
             ["cohort", "offset", "__n"])
 
-    pairs = (ds.select_columns([user_col, ts_col])
-               .map_batches(distinct_periods, batch_format="pyarrow",
-                            runtime_env=env)
-               .groupby(user_col)
-               .map_groups(per_user, batch_format="pyarrow",
-                           runtime_env=env))
-    g = (pairs.map_batches(count_partial, batch_format="pyarrow",
-                           runtime_env=env)
-              .groupby(["cohort", "offset"]).aggregate(Sum("__n")))
-    return g.map_batches(
-        lambda t: pa.table({
-            "cohort": t.column("cohort").cast(pa.int64()),
-            "offset": t.column("offset").cast(pa.int64()),
-            "n_users": t.column("sum(__n)").cast(pa.int64())}),
-        batch_format="pyarrow", runtime_env=env)
+    periods = map_batches(ds.select_columns([user_col, ts_col]),
+                          distinct_periods)
+    pairs = map_groups(periods.groupby(user_col), per_user)
+    g = (map_batches(pairs, count_partial)
+         .groupby(["cohort", "offset"]).aggregate(Sum("__n")))
+    return map_batches(g, lambda t: pa.table({
+        "cohort": t.column("cohort").cast(pa.int64()),
+        "offset": t.column("offset").cast(pa.int64()),
+        "n_users": t.column("sum(__n)").cast(pa.int64())}))
 
 
 def grouped_count_distinct(ds, key: str, column: str):
@@ -3073,16 +2970,13 @@ def grouped_count_distinct(ds, key: str, column: str):
 
     from ..util import grouped_rename_positional
 
-    env = package_runtime_env()
-
     def block_distinct(t: pa.Table) -> pa.Table:
         t = t.select([key, column])
         t = t.filter(pc.and_(pc.is_valid(t.column(key)),
                              pc.is_valid(t.column(column))))
         return t.group_by([key, column]).aggregate([])
 
-    pairs = (ds.map_batches(block_distinct, batch_format="pyarrow",
-                            runtime_env=env)
+    pairs = (map_batches(ds, block_distinct)
                .groupby([key, column]).aggregate(Count()))
 
     def count_partial(t: pa.Table) -> pa.Table:
@@ -3090,14 +2984,10 @@ def grouped_count_distinct(ds, key: str, column: str):
         return grouped_rename_positional(g, [key], ["__d"]).select(
             [key, "__d"])
 
-    g = (pairs.map_batches(count_partial, batch_format="pyarrow",
-                           runtime_env=env)
-              .groupby(key).aggregate(Sum("__d")))
-    return g.map_batches(
-        lambda t: pa.table({key: t.column(key),
-                            "n_distinct": t.column("sum(__d)").cast(
-                                pa.int64())}),
-        batch_format="pyarrow", runtime_env=env)
+    g = map_batches(pairs, count_partial).groupby(key).aggregate(Sum("__d"))
+    return map_batches(g, lambda t: pa.table({
+        key: t.column(key),
+        "n_distinct": t.column("sum(__d)").cast(pa.int64())}))
 
 
 def resample_timeseries(ds, key: str, ts_col: str, every: str = "1h",
@@ -3154,7 +3044,6 @@ def resample_timeseries(ds, key: str, ts_col: str, every: str = "1h",
 
     from ..util import grouped_rename_positional
 
-    env = package_runtime_env()
     span = duration_us(every) if isinstance(every, str) else int(every)
     sum_cols = list(sum_cols)
     if key.startswith("__") or any(c.startswith("__") for c in sum_cols):
@@ -3239,21 +3128,20 @@ def resample_timeseries(ds, key: str, ts_col: str, every: str = "1h",
         return pa.table(cols)
 
     aggs = [Sum(f"__s_{c}") for c in sum_cols] + [Sum("__cnt")]
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          runtime_env=env)
+    agg = (map_batches(ds, partial)
              .groupby([key, "__b"]).aggregate(*aggs))
     if align == "global":
         # one extra pass over the already-bucket-sized aggregate: every
         # key densifies over the same [global min, global max] grid so
         # downstream feature matrices share one time axis
         agg = agg.materialize()
-        mm = [(r["min(__b)"], r["max(__b)"]) for r in agg.map_batches(
-            lambda t: pa.table({
+        mm = [(r["min(__b)"], r["max(__b)"]) for r in map_batches(
+            agg, lambda t: pa.table({
                 "min(__b)": pa.array(
                     [pc.min(t.column("__b")).as_py()], type=pa.int64()),
                 "max(__b)": pa.array(
-                    [pc.max(t.column("__b")).as_py()], type=pa.int64())}),
-            batch_format="pyarrow", runtime_env=env).take_all()]
+                    [pc.max(t.column("__b")).as_py()], type=pa.int64())})
+        ).take_all()]
         mm = [(a, b) for a, b in mm if a is not None]
         if not mm:
             # no row survives and the aggregate has no schema: type the
@@ -3274,9 +3162,7 @@ def resample_timeseries(ds, key: str, ts_col: str, every: str = "1h",
                 fields + [(count_name, pa.int64())]).empty_table())
         bounds[0] = min(a for a, _ in mm)
         bounds[1] = max(b for _, b in mm)
-    return (agg.groupby(key)
-               .map_groups(densify, batch_format="pyarrow",
-                           runtime_env=env))
+    return map_groups(agg.groupby(key), densify)
 
 
 def robust_anomalies(ds, key: str, value_col: str, threshold: float = 3.0,
@@ -3297,7 +3183,6 @@ def robust_anomalies(ds, key: str, value_col: str, threshold: float = 3.0,
     and two :func:`hash_join` passes against key-sized median/MAD
     tables; the input is materialized once and reused by both.
     """
-    env = package_runtime_env()
     for c in ("__med", "__dev", "__mad"):
         if c in ds.schema().names:
             raise ValueError(f"robust_anomalies: column {c} is reserved")
@@ -3310,8 +3195,7 @@ def robust_anomalies(ds, key: str, value_col: str, threshold: float = 3.0,
         col = t.column(key)
         return t.filter(pc.is_valid(col)) if col.null_count else t
 
-    base = ds.map_batches(drop_null_keys, batch_format="pyarrow",
-                          runtime_env=env).materialize()
+    base = map_batches(ds, drop_null_keys).materialize()
     if base.count() == 0:
         # an empty grouped-quantile aggregate has no schema, which would
         # crash the median-attach join — return the empty result directly
@@ -3332,8 +3216,7 @@ def robust_anomalies(ds, key: str, value_col: str, threshold: float = 3.0,
             t.column("__med").cast(pa.float64())))
         return t.append_column("__dev", dev)
 
-    d = j1.map_batches(add_dev, batch_format="pyarrow",
-                       runtime_env=env).materialize()
+    d = map_batches(j1, add_dev).materialize()
     mad = grouped_quantiles(d, key, "__dev", {"__mad": 0.5})
     j2 = hash_join(d, mad, key=key)
 
@@ -3347,8 +3230,7 @@ def robust_anomalies(ds, key: str, value_col: str, threshold: float = 3.0,
             ["abs_dev" if n == "__dev" else "mad" if n == "__mad" else n
              for n in out.column_names])
 
-    return j2.map_batches(finish, batch_format="pyarrow",
-                          runtime_env=env)
+    return map_batches(j2, finish)
 
 
 def rolling_aggregate(ds, key: str, order_col: str, value_col: str,
@@ -3373,7 +3255,6 @@ def rolling_aggregate(ds, key: str, order_col: str, value_col: str,
     if window < 1:
         raise ValueError("rolling_aggregate: window must be >= 1")
     out = out_col or f"rolling_{agg}_{value_col}"
-    env = package_runtime_env()
 
     def apply(group: pa.Table) -> pa.Table:
         g = group.sort_by(order_col)
@@ -3398,9 +3279,7 @@ def rolling_aggregate(ds, key: str, order_col: str, value_col: str,
         return g.append_column(out, pa.array(vals, type=pa.float64(),
                                              mask=c == 0))
 
-    return (ds.groupby(key)
-              .map_groups(apply, batch_format="pyarrow",
-                          runtime_env=env))
+    return map_groups(ds.groupby(key), apply)
 
 
 def ema(ds, key: str, order_col: str, value_col: str, alpha: float,
@@ -3424,7 +3303,6 @@ def ema(ds, key: str, order_col: str, value_col: str, alpha: float,
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"ema: alpha must be in (0, 1], got {alpha}")
     out = out_col or f"ema_{value_col}"
-    env = package_runtime_env()
     if alpha == 1.0:
         seg_len = 1 << 62          # y_t = x_t; decay term vanishes
     else:
@@ -3462,6 +3340,4 @@ def ema(ds, key: str, order_col: str, value_col: str, alpha: float,
         return g.append_column(out, pa.array(vals, type=pa.float64(),
                                              mask=~valid))
 
-    return (ds.groupby(key)
-              .map_groups(apply, batch_format="pyarrow",
-                          runtime_env=env))
+    return map_groups(ds.groupby(key), apply)

@@ -20,7 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env
+from ..util import map_batches, map_groups
 
 
 def _alpha(m: int) -> float:
@@ -95,8 +95,7 @@ def approx_count_distinct(ds, column: str, p: int = 14) -> float:
                 np.maximum.at(regs, idx, rank)
         return pa.table({"regs": pa.array([regs.tobytes()], type=pa.binary())})
 
-    rows = ds.map_batches(block_registers, batch_format="pyarrow",
-                          runtime_env=package_runtime_env()).take_all()
+    rows = map_batches(ds, block_registers).take_all()
     merged = np.zeros(m, dtype=np.uint8)
     for r in rows:
         merged = np.maximum(merged, np.frombuffer(r["regs"], dtype=np.uint8))
@@ -156,11 +155,7 @@ def grouped_approx_distinct(ds, key: str, column: str, p: int = 12):
             "approx_distinct": pa.array([hll_estimate(merged)],
                                         type=pa.float64())})
 
-    env = package_runtime_env()
-    return (ds.map_batches(block_registers, batch_format="pyarrow",
-                           runtime_env=env)
-              .groupby(key)
-              .map_groups(merge, batch_format="pyarrow", runtime_env=env))
+    return map_groups(map_batches(ds, block_registers).groupby(key), merge)
 
 
 class CountMinSketch:
@@ -227,7 +222,6 @@ def count_min_sketch(ds, column: str, *, width: int = 2048, depth: int = 4,
     semantics)."""
     if width < 2 or depth < 1:
         raise ValueError("width must be >= 2 and depth >= 1")
-    env = package_runtime_env()
 
     def block_counts(batch: pa.Table) -> pa.Table:
         col = batch.column(column).combine_chunks()
@@ -242,8 +236,7 @@ def count_min_sketch(ds, column: str, *, width: int = 2048, depth: int = 4,
             "counts": pa.array([cms.counts.tobytes()], type=pa.binary()),
             "n": pa.array([cms.n], type=pa.int64())})
 
-    rows = ds.map_batches(block_counts, batch_format="pyarrow",
-                          runtime_env=env).take_all()
+    rows = map_batches(ds, block_counts).take_all()
     out = CountMinSketch(np.zeros((depth, width), dtype=np.int64), 0, seed)
     for r in rows:
         out.counts += np.frombuffer(r["counts"], dtype=np.int64) \
@@ -276,7 +269,6 @@ def approx_quantiles_sketch(ds, column: str, qs, k: int = 256) -> dict:
     qs = sorted(set(qs))
     if not all(0 <= q <= 1 for q in qs):
         raise ValueError("quantiles must be in [0, 1]")
-    env = package_runtime_env()
 
     def block_summary(batch: pa.Table) -> pa.Table:
         col = batch.column(column).combine_chunks()
@@ -313,12 +305,10 @@ def approx_quantiles_sketch(ds, column: str, qs, k: int = 256) -> dict:
         neww = np.diff(np.concatenate([[0], cum[pos]])).astype(np.int64)
         return pa.table({"v": pa.array(v[pos]), "w": pa.array(neww)})
 
-    rows = (ds.map_batches(block_summary, batch_format="pyarrow",
-                           runtime_env=env)
-            .repartition(64)      # the tree fan-in: tiny summary rows
-            .map_batches(recompress, batch_format="pyarrow",
-                         batch_size=None, runtime_env=env)
-            .take_all())          # O(64·k) rows, independent of blocks
+    # the tree fan-in: tiny summary rows
+    summaries = map_batches(ds, block_summary).repartition(64)
+    rows = map_batches(summaries, recompress,
+                       batch_size=None).take_all()  # O(64·k) rows
     vals = np.array([r["v"] for r in rows], dtype=np.float64)
     wts = np.array([r["w"] for r in rows], dtype=np.int64)
     if len(vals) == 0:
@@ -342,7 +332,6 @@ def exact_ranks(ds, column: str, values) -> list:
     2·len(values) ints shipped per block); the driver sums. Used to verify
     sketch rank-error contracts against the data itself."""
     probe = np.asarray(list(values), dtype=np.float64)
-    env = package_runtime_env()
 
     def partial(batch: pa.Table) -> pa.Table:
         col = batch.column(column).combine_chunks()
@@ -355,8 +344,7 @@ def exact_ranks(ds, column: str, values) -> list:
                                        type=pa.int64()),
                          "lo": pa.array(lo), "hi": pa.array(hi)})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          runtime_env=env).take_all()
+    rows = map_batches(ds, partial).take_all()
     lo = np.zeros(len(probe), dtype=np.int64)
     hi = np.zeros(len(probe), dtype=np.int64)
     for r in rows:
@@ -387,16 +375,13 @@ def heavy_hitters(ds, column: str, fraction: float,
         raise ValueError("fraction must be in (0, 1]")
     import ray
 
-    env = package_runtime_env()
-
     def local_heavy(batch: pa.Table) -> pa.Table:
         vc = batch.column(column).combine_chunks().value_counts()
         thresh = max(int(np.ceil(fraction * batch.num_rows)), 1)
         keep = pc.greater_equal(vc.field(1), thresh)
         return pa.table({"v": vc.field(0).filter(keep)})
 
-    cand_rows = ds.map_batches(local_heavy, batch_format="pyarrow",
-                               runtime_env=env).take_all()
+    cand_rows = map_batches(ds, local_heavy).take_all()
     # candidate set: O(blocks / fraction) values — small by construction.
     # NULL is a first-class candidate (SQL GROUP BY ... HAVING reports the
     # NULL group); it is carried out-of-band because is_in can't match it.
@@ -428,8 +413,7 @@ def heavy_hitters(ds, column: str, fraction: float,
                 "c": pa.array([col.null_count], type=pa.int64())})])
         return t
 
-    parts = ds.map_batches(exact_counts, batch_format="pyarrow",
-                           runtime_env=env).take_all()
+    parts = map_batches(ds, exact_counts).take_all()
     totals: dict = {}
     for r in parts:
         totals[r["v"]] = totals.get(r["v"], 0) + int(r["c"])
@@ -469,7 +453,6 @@ def misra_gries(ds, column: str, k: int = 64) -> dict:
     Returns ``{"counters": {value: est}, "n": non-null rows, "k": k}``."""
     if k < 1:
         raise ValueError("misra_gries: k must be >= 1")
-    env = package_runtime_env()
 
     def block_summary(batch: pa.Table) -> pa.Table:
         col = batch.column(column).combine_chunks()
@@ -490,8 +473,7 @@ def misra_gries(ds, column: str, k: int = 64) -> dict:
                                        type=pa.int64()),
                          "bn": pa.array(bn, type=pa.int64())})
 
-    rows = ds.select_columns([column]).map_batches(
-        block_summary, batch_format="pyarrow", runtime_env=env).take_all()
+    rows = map_batches(ds.select_columns([column]), block_summary).take_all()
     merged: dict = {}
     n = 0
     for r in rows:

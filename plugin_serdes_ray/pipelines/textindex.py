@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env
+from ..util import map_batches, map_groups
 
 
 def _shard_of(token: str, num_shards: int) -> int:
@@ -179,13 +179,9 @@ def build_text_index(ds, index_dir: str, column: str = "text",
                          "postings": pa.array([group.num_rows],
                                               type=pa.int64())})
 
-    env = package_runtime_env()
-    parts = (ds.select_columns([id_column, column])
-               .map_batches(emit, batch_format="pyarrow", runtime_env=env)
-               .groupby("__shard")
-               .map_groups(write_shard, batch_format="pyarrow",
-                           runtime_env=env)
-               .take_all())                     # one row per (shard, split)
+    emitted = map_batches(ds.select_columns([id_column, column]), emit)
+    # one row per (shard, split)
+    parts = map_groups(emitted.groupby("__shard"), write_shard).take_all()
     id_idx = list(ds.schema().names).index(id_column)
     id_schema = pa.schema([pa.field(id_column, ds.schema().types[id_idx])])
     meta = {"num_shards": num_shards, "sub_splits": sub_splits,
@@ -245,16 +241,13 @@ def search_text_index(index_dir: str, tokens: list[str],
 
     from ray.data.aggregate import Count
 
-    env = package_runtime_env()
-    src = ray.data.read_parquet(files).map_batches(
-        filt, batch_format="pyarrow", runtime_env=env)
+    src = map_batches(ray.data.read_parquet(files), filt)
     if meta.get("positions"):
         # the per-batch collapse in filt is not global: a posting file
         # split across read blocks would count one token twice for a doc
         # and break the AND arithmetic — one keyed distinct fixes it
-        src = src.groupby([id_column, "token"]).map_groups(
-            lambda g: g.slice(0, 1), batch_format="pyarrow",
-            runtime_env=env)
+        src = map_groups(
+            src.groupby([id_column, "token"]), lambda g: g.slice(0, 1))
     hits = src.groupby(id_column).aggregate(Count())
 
     def emit(batch: pa.Table) -> pa.Table:
@@ -263,7 +256,7 @@ def search_text_index(index_dir: str, tokens: list[str],
             else pc.greater_equal(cnt, 1)
         return batch.filter(keep).select([id_column])
 
-    return hits.map_batches(emit, batch_format="pyarrow", runtime_env=env)
+    return map_batches(hits, emit)
 
 
 def keyword_search(ds, tokens: list[str], mode: str = "and",
@@ -349,9 +342,7 @@ def phrase_search_index(index_dir: str, phrase: str):
         # role) rows are already distinct within this batch
         return out
 
-    env = package_runtime_env()
-    hits = (ray.data.read_parquet(files)
-            .map_batches(anchors, batch_format="pyarrow", runtime_env=env)
+    hits = (map_batches(ray.data.read_parquet(files), anchors)
             .groupby([id_column, "anchor"]).aggregate(Count()))
 
     def emit(batch: pa.Table) -> pa.Table:
@@ -359,11 +350,9 @@ def phrase_search_index(index_dir: str, phrase: str):
         return batch.filter(keep).select([id_column]) \
             .group_by([id_column]).aggregate([])
 
-    matched = hits.map_batches(emit, batch_format="pyarrow",
-                               runtime_env=env)
+    matched = map_batches(hits, emit)
     # a doc can match at several anchors across blocks: one last distinct
-    return matched.groupby(id_column).map_groups(
-        lambda g: g.slice(0, 1), batch_format="pyarrow", runtime_env=env)
+    return map_groups(matched.groupby(id_column), lambda g: g.slice(0, 1))
 
 
 def phrase_search(ds, phrase: str, column: str = "text",
@@ -418,7 +407,6 @@ def bm25_search(ds, query_tokens: list[str], k: int = 10,
     """
     from ray.data.aggregate import Sum
 
-    env = package_runtime_env()
     sch = ds.schema()
     id_type = dict(zip(sch.names, sch.types))[id_column]
     qset = pa.array(sorted({t.lower() for t in query_tokens}),
@@ -465,13 +453,11 @@ def bm25_search(ds, query_tokens: list[str], k: int = 10,
             "tag": pa.array(["s"])})
         return pa.concat_tables([g.cast(stat.schema), stat])
 
-    tagged = ds.select_columns([id_column, column]).map_batches(
-        partial, batch_format="pyarrow", runtime_env=env).materialize()
+    tagged = map_batches(
+        ds.select_columns([id_column, column]), partial).materialize()
 
-    stats = tagged.map_batches(
-        lambda t: t.filter(pc.equal(t.column("tag"), "s")).select(
-            ["tf", "dl"]),
-        batch_format="pyarrow", runtime_env=env).take_all()
+    stats = map_batches(tagged, lambda t: t.filter(
+        pc.equal(t.column("tag"), "s")).select(["tf", "dl"])).take_all()
     n_docs = sum(r["tf"] for r in stats)
     sum_dl = sum(r["dl"] for r in stats)
     if n_docs == 0:
@@ -479,9 +465,8 @@ def bm25_search(ds, query_tokens: list[str], k: int = 10,
                          "score": pa.array([], type=pa.float64())})
     avgdl = sum_dl / n_docs
 
-    matches = tagged.map_batches(
-        lambda t: t.filter(pc.equal(t.column("tag"), "m")).drop(["tag"]),
-        batch_format="pyarrow", runtime_env=env)
+    matches = map_batches(tagged, lambda t: t.filter(
+        pc.equal(t.column("tag"), "m")).drop(["tag"]))
     df_rows = matches.groupby("token").count().take_all()   # <= |query|
     idf = {r["token"]: float(np.log(1.0 + (n_docs - r["count()"] + 0.5)
                                     / (r["count()"] + 0.5)))
@@ -506,8 +491,7 @@ def bm25_search(ds, query_tokens: list[str], k: int = 10,
         return pa.table({id_column: t.column(id_column),
                          "__s": pa.array(s)})
 
-    per_doc = (matches.map_batches(contrib, batch_format="pyarrow",
-                                   runtime_env=env)
+    per_doc = (map_batches(matches, contrib)
                       .groupby(id_column).aggregate(Sum("__s")))
 
     def block_top(t: pa.Table) -> pa.Table:
@@ -521,8 +505,7 @@ def bm25_search(ds, query_tokens: list[str], k: int = 10,
             out = out.take(order.slice(0, k))
         return out
 
-    rows = per_doc.map_batches(block_top, batch_format="pyarrow",
-                               runtime_env=env).take_all()
+    rows = map_batches(per_doc, block_top).take_all()
     rows.sort(key=lambda r: (-r["score"], r[id_column]))
     rows = rows[:k]
     return pa.table({

@@ -2,7 +2,7 @@
 stopword heuristic), quality scoring, token counting, fingerprinting.
 
 Every function is a vectorized batch transform suitable for
-``ds.map_batches(fn, batch_format="pyarrow")``; heavier per-call state
+``util.map_batches(ds, fn)``; heavier per-call state
 (compiled regexes, profile tables) lives at module import, once per worker
 process — the moral equivalent of the reference's cached DateTimeFormatters
 (/root/reference avro/AvroConverter.java:95-108, pinned by
@@ -18,7 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import regex
 
-from ..util import grouped_renamed
+from ..util import grouped_renamed, map_batches
 
 # BPE-ish pre-tokenizer (the public GPT-2 pattern — a word/number/punct
 # splitter), compiled once per process
@@ -246,13 +246,10 @@ def analyze(ds, column: str = "text", bpe: bool = False):
     fingerprint. The BPE sub-token count (the one per-row regex loop in
     the family) is opt-in — ``bpe=True`` — so the default 100 TB pass
     stays fully vectorized."""
-    from ..util import package_runtime_env
-
-    env = package_runtime_env()
-    return (ds.map_batches(lambda b: token_counts(b, column, bpe=bpe), batch_format="pyarrow", runtime_env=env)
-              .map_batches(lambda b: quality_scores(b, column), batch_format="pyarrow", runtime_env=env)
-              .map_batches(lambda b: detect_language(b, column), batch_format="pyarrow", runtime_env=env)
-              .map_batches(lambda b: fingerprint(b, column), batch_format="pyarrow", runtime_env=env))
+    ds = map_batches(ds, lambda b: token_counts(b, column, bpe=bpe))
+    ds = map_batches(ds, lambda b: quality_scores(b, column))
+    ds = map_batches(ds, lambda b: detect_language(b, column))
+    return map_batches(ds, lambda b: fingerprint(b, column))
 
 
 # PII redaction patterns (email, IPv4, international phone). Both Arrow's
@@ -633,8 +630,6 @@ def chunk_text(ds, column: str = "text", id_column: str = "doc_id", *,
         raise ValueError(f"overlap ({overlap}) must be < size ({size})")
     stride = size - overlap
 
-    from ..util import package_runtime_env
-
     def chop(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch.column(column)))
         col = batch.column(column).combine_chunks()
@@ -665,8 +660,7 @@ def chunk_text(ds, column: str = "text", id_column: str = "doc_id", *,
             idx_col: pa.array(np.concatenate(out_idx)),
             chunk_col: pa.concat_arrays([c for c in out_chunks])})
 
-    return ds.map_batches(chop, batch_format="pyarrow",
-                          runtime_env=package_runtime_env())
+    return map_batches(ds, chop)
 
 
 def _word_rows(col: pa.Array):
@@ -754,16 +748,11 @@ def contamination_overlap(corpus, bench, column: str = "text",
     value set. No shuffle anywhere, the corpus text never moves."""
     import ray
 
-    from ..util import package_runtime_env
-
-    env = package_runtime_env()
-
     def bench_grams(batch: pa.Table) -> pa.Table:
         _, grams = _word_ngram_rows(batch, column, n)
         return pa.table({"g": pc.unique(grams)})
 
-    parts = bench.map_batches(bench_grams, batch_format="pyarrow",
-                              runtime_env=env).take_all()
+    parts = map_batches(bench, bench_grams).take_all()
     bench_set = pa.array(sorted({r["g"] for r in parts}), type=pa.string())
     ref = ray.put(bench_set)
 
@@ -780,8 +769,7 @@ def contamination_overlap(corpus, bench, column: str = "text",
                          "n_grams": pa.array(n_grams),
                          "n_overlap": pa.array(n_overlap)})
 
-    return corpus.map_batches(scan, batch_format="pyarrow",
-                               runtime_env=env)
+    return map_batches(corpus, scan)
 
 
 def _ws_split(t: pa.Table, column: str) -> pa.Array:
@@ -817,8 +805,6 @@ def vocab_top_k(ds, column: str = "text", k: int = 20,
     token asc)."""
     from ray.data.aggregate import Sum
 
-    from ..util import package_runtime_env
-
     def partial(t: pa.Table) -> pa.Table:
         toks_l = _ws_split(t, column)
         flat = pc.list_flatten(toks_l)
@@ -837,12 +823,9 @@ def vocab_top_k(ds, column: str = "text", k: int = 20,
                                             ("token", "ascending")])
         return t.take(idx.slice(0, k))
 
-    env = package_runtime_env()
-    merged = (ds.select_columns([column])
-                .map_batches(partial, batch_format="pyarrow", runtime_env=env)
-                .groupby("token").aggregate(Sum("cnt"))
-                .map_batches(local_topk, batch_format="pyarrow",
-                             runtime_env=env))
+    sums = (map_batches(ds.select_columns([column]), partial)
+            .groupby("token").aggregate(Sum("cnt")))
+    merged = map_batches(sums, local_topk)
     cand = pa.Table.from_pylist(merged.take_all())   # O(k·blocks) rows
     if cand.num_rows == 0:
         return pa.table({"token": pa.array([], type=pa.string()),
@@ -871,26 +854,17 @@ def vocab_top_p(ds, column: str = "text", p: float = 0.9):
     """
     from ray.data.aggregate import Sum
 
-    from ..util import package_runtime_env
     from .relational import prefix_sum
-
-    env = package_runtime_env()
 
     def partial(t: pa.Table) -> pa.Table:
         return _token_counts(pc.list_flatten(_ws_split(t, column)))
 
-    counts = (ds.select_columns([column])
-                .map_batches(partial, batch_format="pyarrow",
-                             runtime_env=env)
-                .groupby("token").aggregate(Sum("cnt"))
-                .map_batches(
-                    lambda t: t.rename_columns(["token", "n"]),
-                    batch_format="pyarrow", runtime_env=env)
-                .materialize())
-    tot_rows = counts.map_batches(
-        lambda t: pa.table({"t": pa.array(
-            [pc.sum(t.column("n")).as_py() or 0], type=pa.int64())}),
-        batch_format="pyarrow", runtime_env=env).take_all()
+    sums = (map_batches(ds.select_columns([column]), partial)
+            .groupby("token").aggregate(Sum("cnt")))
+    counts = map_batches(
+        sums, lambda t: t.rename_columns(["token", "n"])).materialize()
+    tot_rows = map_batches(counts, lambda t: pa.table({"t": pa.array(
+        [pc.sum(t.column("n")).as_py() or 0], type=pa.int64())})).take_all()
     total = sum(r["t"] for r in tot_rows)
     if total == 0:
         import ray.data
@@ -908,15 +882,13 @@ def vocab_top_p(ds, column: str = "text", p: float = 0.9):
             pa.scalar("|", type=pa.string()))
         return t.append_column("__pk", key)
 
-    keyed = counts.map_batches(add_key, batch_format="pyarrow",
-                               runtime_env=env)
+    keyed = map_batches(counts, add_key)
     cut = p * total
     scanned = prefix_sum(keyed, "__pk", "n", out_col="__cum",
                          exclusive=True)
-    return scanned.map_batches(
-        lambda t: t.filter(pc.less(t.column("__cum"), cut))
-                   .drop_columns(["__pk", "__cum"]),
-        batch_format="pyarrow", runtime_env=env)
+    return map_batches(
+        scanned, lambda t: t.filter(pc.less(t.column("__cum"), cut))
+        .drop_columns(["__pk", "__cum"]))
 
 
 def _tf_pairs_fn(column: str, id_column: str):
@@ -977,21 +949,17 @@ def unigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
     emit no row (SQL GROUP BY semantics)."""
     from ray.data.aggregate import Sum
 
-    from ..util import package_runtime_env
     from .relational import hash_join, top_k
 
-    env = package_runtime_env()
-    postings = ds.select_columns([id_column, column]).map_batches(
-        _tf_pairs_fn(column, id_column), batch_format="pyarrow",
-        runtime_env=env)
+    postings = map_batches(ds.select_columns([id_column, column]),
+                           _tf_pairs_fn(column, id_column))
 
     def cnt_partial(t: pa.Table) -> pa.Table:
         g = t.select(["token", "tf"]).group_by("token").aggregate(
             [("tf", "sum")])
         return grouped_renamed(g, {"token": "token", "tf_sum": "cnt_part"})
 
-    cnt = (postings.map_batches(cnt_partial, batch_format="pyarrow",
-                                runtime_env=env)
+    cnt = (map_batches(postings, cnt_partial)
                    .groupby("token").aggregate(Sum("cnt_part")))
 
     def cnt_finish(t: pa.Table) -> pa.Table:
@@ -1000,8 +968,7 @@ def unigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
                                  .cast(pa.float64())})
 
     # vocabulary-sized; consumed three times (N, salts, join) — pin it
-    cnt = cnt.map_batches(cnt_finish, batch_format="pyarrow",
-                          runtime_env=env).materialize()
+    cnt = map_batches(cnt, cnt_finish).materialize()
     n_total = cnt.sum("cnt")
     hot = top_k(cnt, "cnt", k=64)
     salts = _cnt_salts(hot.column("cnt").to_pylist(),
@@ -1019,8 +986,7 @@ def unigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
                          "__neg": pa.array(neg),
                          "__tf": t.column("tf").cast(pa.int64())})
 
-    per_doc = (joined.map_batches(contrib, batch_format="pyarrow",
-                                  runtime_env=env)
+    per_doc = (map_batches(joined, contrib)
                      .groupby(id_column)
                      .aggregate(Sum("__neg"), Sum("__tf")))
 
@@ -1033,8 +999,7 @@ def unigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
                          "n_tokens": pa.array(ntok.astype(np.int64)),
                          "avg_neg_logp": pa.array(neg / ntok)})
 
-    return per_doc.map_batches(finish, batch_format="pyarrow",
-                               runtime_env=env)
+    return map_batches(per_doc, finish)
 
 
 def bigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
@@ -1060,10 +1025,7 @@ def bigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
     documents with < 2 tokens emit no row (SQL GROUP BY semantics)."""
     from ray.data.aggregate import Sum
 
-    from ..util import package_runtime_env
     from .relational import hash_join, top_k
-
-    env = package_runtime_env()
 
     def bigram_tf(t: pa.Table) -> pa.Table:
         col = pc.utf8_lower(pc.fill_null(
@@ -1083,8 +1045,7 @@ def bigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
         return grouped_renamed(g, {id_column: id_column, "gram": "gram",
                                    "prefix": "prefix", "count_all": "tf"})
 
-    postings = ds.select_columns([id_column, column]).map_batches(
-        bigram_tf, batch_format="pyarrow", runtime_env=env)
+    postings = map_batches(ds.select_columns([id_column, column]), bigram_tf)
 
     def gram_partial(t: pa.Table) -> pa.Table:
         g = t.select(["gram", "prefix", "tf"]) \
@@ -1101,12 +1062,10 @@ def bigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
     # vocabulary-sized; the ONLY reduce that reads the corpus postings
     # (prefix is functionally dependent on gram, so grouping by both keeps
     # gram cardinality and carries the prefix along for free)
-    cnt_g = (postings.map_batches(gram_partial, batch_format="pyarrow",
-                                  runtime_env=env)
-             .groupby(["gram", "prefix"]).aggregate(Sum("cnt_part"))
-             .map_batches(gram_finish, batch_format="pyarrow",
-                          runtime_env=env)
-             .materialize())
+    cnt_g = map_batches(
+        map_batches(postings, gram_partial)
+        .groupby(["gram", "prefix"]).aggregate(Sum("cnt_part")),
+        gram_finish).materialize()
 
     def prefix_partial(t: pa.Table) -> pa.Table:
         g = t.select(["prefix", "cnt_g"]).group_by("prefix").aggregate(
@@ -1120,11 +1079,9 @@ def bigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
                                    .cast(pa.float64())})
 
     # derived from cnt_g — no second corpus scan
-    cnt_p = (cnt_g.map_batches(prefix_partial, batch_format="pyarrow",
-                               runtime_env=env)
-             .groupby("prefix").aggregate(Sum("cnt_part"))
-             .map_batches(prefix_finish, batch_format="pyarrow",
-                          runtime_env=env))
+    cnt_p = map_batches(
+        map_batches(cnt_g, prefix_partial)
+        .groupby("prefix").aggregate(Sum("cnt_part")), prefix_finish)
 
     # small-small join: both sides vocabulary-sized, output one row per
     # distinct gram carrying BOTH denominators -> the single corpus join
@@ -1151,8 +1108,7 @@ def bigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
                          "__neg": pa.array(neg),
                          "__tf": t.column("tf").cast(pa.int64())})
 
-    per_doc = (joined.map_batches(contrib, batch_format="pyarrow",
-                                  runtime_env=env)
+    per_doc = (map_batches(joined, contrib)
                      .groupby(id_column)
                      .aggregate(Sum("__neg"), Sum("__tf")))
 
@@ -1165,8 +1121,7 @@ def bigram_logprob(ds, column: str = "text", id_column: str = "doc_id",
                          "n_bigrams": pa.array(ntok.astype(np.int64)),
                          "avg_neg_logp": pa.array(neg / ntok)})
 
-    return per_doc.map_batches(finish, batch_format="pyarrow",
-                               runtime_env=env)
+    return map_batches(per_doc, finish)
 
 
 def pmi_collocations(ds, column: str = "text", k: int = 20,
@@ -1204,10 +1159,7 @@ def pmi_collocations(ds, column: str = "text", k: int = 20,
 
     from ray.data.aggregate import Sum
 
-    from ..util import package_runtime_env
     from .relational import hash_join
-
-    env = package_runtime_env()
 
     def _lowered(t: pa.Table) -> pa.Array:
         col = t.column(column).combine_chunks()
@@ -1232,8 +1184,7 @@ def pmi_collocations(ds, column: str = "text", k: int = 20,
             pc.split_pattern_regex(_lowered(t), r"\s+")))
 
     src = ds.select_columns([column])
-    cg = (src.map_batches(gram_partial, batch_format="pyarrow",
-                          runtime_env=env)
+    cg = (map_batches(src, gram_partial)
              .groupby(["gram", "w1"]).aggregate(Sum("c_part")))
 
     def cg_finish(t: pa.Table) -> pa.Table:
@@ -1243,8 +1194,7 @@ def pmi_collocations(ds, column: str = "text", k: int = 20,
     # materialized ONCE, vocabulary-sized: consumed by the N2 total
     # (which must see every gram — the denominator is total bigram
     # occurrences) and by the min_count-filtered join input below
-    cg = cg.map_batches(cg_finish, batch_format="pyarrow",
-                        runtime_env=env).materialize()
+    cg = map_batches(cg, cg_finish).materialize()
     n2 = float(cg.aggregate(Sum("c12"))["sum(c12)"] or 0)
 
     def cg_filter(t: pa.Table) -> pa.Table:
@@ -1255,14 +1205,11 @@ def pmi_collocations(ds, column: str = "text", k: int = 20,
             out.column("gram").combine_chunks(), " ", max_splits=1), 1)
         return out.append_column("w2", w2)
 
-    cg = cg.map_batches(cg_filter, batch_format="pyarrow", runtime_env=env)
+    cg = map_batches(cg, cg_filter)
 
-    ct = (src.map_batches(tok_partial, batch_format="pyarrow",
-                          runtime_env=env)
-             .groupby("token").aggregate(Sum("cnt"))
-             .map_batches(lambda t: t.rename_columns(["token", "c"]),
-                          batch_format="pyarrow", runtime_env=env)
-             .materialize())
+    ct = map_batches(
+        map_batches(src, tok_partial).groupby("token").aggregate(Sum("cnt")),
+        lambda t: t.rename_columns(["token", "c"])).materialize()
 
     n1 = float(ct.aggregate(Sum("c"))["sum(c)"] or 0)
     empty = pa.table({"gram": pa.array([], type=pa.string()),
@@ -1271,12 +1218,10 @@ def pmi_collocations(ds, column: str = "text", k: int = 20,
     if n1 == 0 or n2 == 0:
         return empty
 
-    j1 = hash_join(cg, ct.map_batches(
-        lambda t: t.rename_columns(["w1", "c1"]),
-        batch_format="pyarrow", runtime_env=env), key="w1")
-    j2 = hash_join(j1, ct.map_batches(
-        lambda t: t.rename_columns(["w2", "c2"]),
-        batch_format="pyarrow", runtime_env=env), key="w2")
+    j1 = hash_join(cg, map_batches(
+        ct, lambda t: t.rename_columns(["w1", "c1"])), key="w1")
+    j2 = hash_join(j1, map_batches(
+        ct, lambda t: t.rename_columns(["w2", "c2"])), key="w2")
 
     ln_n1, ln_n2 = math.log(n1), math.log(n2)
 
@@ -1302,8 +1247,7 @@ def pmi_collocations(ds, column: str = "text", k: int = 20,
 
     import ray
 
-    refs = j2.map_batches(score_topk, batch_format="pyarrow",
-                          runtime_env=env).to_arrow_refs()
+    refs = map_batches(j2, score_topk).to_arrow_refs()
     tables = [tb for tb in ray.get(refs) if tb.num_columns]
     if not tables:
         return empty
@@ -1347,10 +1291,7 @@ def vocab_kl_divergence(ds, group_column: str = "lang",
     import ray.data
     from ray.data.aggregate import Sum
 
-    from ..util import package_runtime_env
     from .relational import hash_join
-
-    env = package_runtime_env()
 
     def gt_partial(t: pa.Table) -> pa.Table:
         g = t.column(group_column).combine_chunks()
@@ -1370,33 +1311,24 @@ def vocab_kl_divergence(ds, group_column: str = "lang",
         return grouped_renamed(out, {"g": "g", "token": "token",
                                      "count_all": "c_part"})
 
-    gt = (ds.select_columns([group_column, column])
-            .map_batches(gt_partial, batch_format="pyarrow",
-                         runtime_env=env)
-            .groupby(["g", "token"]).aggregate(Sum("c_part"))
-            .map_batches(lambda t: t.rename_columns(["g", "token", "c_gt"]),
-                         batch_format="pyarrow", runtime_env=env)
-            .materialize())
+    gt = (map_batches(ds.select_columns([group_column, column]), gt_partial)
+          .groupby(["g", "token"]).aggregate(Sum("c_part")))
+    gt = map_batches(
+        gt, lambda t: t.rename_columns(["g", "token", "c_gt"])).materialize()
 
-    ct = (gt.map_batches(
-              lambda t: grouped_renamed(
-                  t.select(["token", "c_gt"]).group_by("token")
-                   .aggregate([("c_gt", "sum")]),
-                  {"token": "token", "c_gt_sum": "c_part"}),
-              batch_format="pyarrow", runtime_env=env)
-            .groupby("token").aggregate(Sum("c_part"))
-            .map_batches(lambda t: t.rename_columns(["token", "c_t"]),
-                         batch_format="pyarrow", runtime_env=env)
-            .materialize())
+    ct = map_batches(gt, lambda t: grouped_renamed(
+        t.select(["token", "c_gt"]).group_by("token")
+         .aggregate([("c_gt", "sum")]),
+        {"token": "token", "c_gt_sum": "c_part"}))
+    ct = map_batches(
+        ct.groupby("token").aggregate(Sum("c_part")),
+        lambda t: t.rename_columns(["token", "c_t"])).materialize()
 
     # group list + per-group totals: O(groups) driver rows by design
-    ng_rows = (gt.map_batches(
-                   lambda t: grouped_renamed(
-                       t.select(["g", "c_gt"]).group_by("g")
-                        .aggregate([("c_gt", "sum")]),
-                       {"g": "g", "c_gt_sum": "n_part"}),
-                   batch_format="pyarrow", runtime_env=env)
-                 .groupby("g").aggregate(Sum("n_part")).take_all())
+    ng_rows = map_batches(gt, lambda t: grouped_renamed(
+        t.select(["g", "c_gt"]).group_by("g").aggregate([("c_gt", "sum")]),
+        {"g": "g", "c_gt_sum": "n_part"}))
+    ng_rows = ng_rows.groupby("g").aggregate(Sum("n_part")).take_all()
     n_g = {r["g"]: float(r["sum(n_part)"]) for r in ng_rows}
     groups = sorted(n_g)
     empty = pa.table({group_column: pa.array([], type=pa.string()),
@@ -1420,8 +1352,7 @@ def vocab_kl_divergence(ds, group_column: str = "lang",
         return pa.table({"g": gcol, "token": toks.take(idx),
                          "c_t": t.column("c_t").combine_chunks().take(idx)})
 
-    support = ct.map_batches(expand, batch_format="pyarrow",
-                             runtime_env=env)
+    support = map_batches(ct, expand)
     joined = hash_join(support, gt, key=["g", "token"], join_type="left")
 
     group_arr = pa.array(groups)
@@ -1442,8 +1373,7 @@ def vocab_kl_divergence(ds, group_column: str = "lang",
                     - (np.log(c_t + smooth) - ln_pn))
         return pa.table({"g": gc, "__t": pa.array(tm)})
 
-    summed = (joined.map_batches(term, batch_format="pyarrow",
-                                 runtime_env=env)
+    summed = (map_batches(joined, term)
                     .groupby("g").aggregate(Sum("__t")))
 
     def finish(t: pa.Table) -> pa.Table:
@@ -1455,8 +1385,7 @@ def vocab_kl_divergence(ds, group_column: str = "lang",
         return pa.table({group_column: gc, "n_tokens": ntk,
                          "kl": pa.array(kl, type=pa.float64())})
 
-    return summed.map_batches(finish, batch_format="pyarrow",
-                              runtime_env=env)
+    return map_batches(summed, finish)
 
 
 def tfidf_top_terms(ds, column: str = "text", id_column: str = "doc_id",
@@ -1482,15 +1411,12 @@ def tfidf_top_terms(ds, column: str = "text", id_column: str = "doc_id",
 
     from ray.data.aggregate import Sum
 
-    from ..util import package_runtime_env
     from .relational import grouped_top_k, hash_join, top_k
 
-    env = package_runtime_env()
     n_docs = ds.count()
 
-    postings = ds.select_columns([id_column, column]).map_batches(
-        _tf_pairs_fn(column, id_column), batch_format="pyarrow",
-        runtime_env=env)
+    postings = map_batches(ds.select_columns([id_column, column]),
+                           _tf_pairs_fn(column, id_column))
 
     def df_partial(t: pa.Table) -> pa.Table:
         # rows are already distinct (doc, token): per-block df = row count
@@ -1499,8 +1425,7 @@ def tfidf_top_terms(ds, column: str = "text", id_column: str = "doc_id",
         return grouped_renamed(g, {"token": "token",
                                    "count_all": "df_part"})
 
-    df = (postings.map_batches(df_partial, batch_format="pyarrow",
-                               runtime_env=env)
+    df = (map_batches(postings, df_partial)
                   .groupby("token").aggregate(Sum("df_part")))
 
     def df_finish(t: pa.Table) -> pa.Table:
@@ -1510,8 +1435,7 @@ def tfidf_top_terms(ds, column: str = "text", id_column: str = "doc_id",
     # materialize: df is vocabulary-sized (fixed-width rows) and consumed
     # twice below (salt sizing + join); without this the whole tokenize
     # lineage would re-execute per consumer
-    df = df.map_batches(df_finish, batch_format="pyarrow",
-                        runtime_env=env).materialize()
+    df = map_batches(df, df_finish).materialize()
     # hot tokens by exact document frequency; a posting row is ~48 B
     # (doc id + token + tf), so a token with df·48 B over the target gets
     # df·48/target salt subkeys (right side, one df row/token, replicates)
@@ -1532,8 +1456,7 @@ def tfidf_top_terms(ds, column: str = "text", id_column: str = "doc_id",
                          "token": t.column("token"),
                          "score": pa.array(s)})
 
-    scored = joined.map_batches(score, batch_format="pyarrow",
-                                runtime_env=env)
+    scored = map_batches(joined, score)
     return grouped_top_k(scored, id_column, "score", k=k, tiebreak="token")
 
 
@@ -1572,9 +1495,6 @@ def importance_weights(ds, target, column: str = "text",
     import ray
     from ray.data.aggregate import Sum
 
-    from ..util import package_runtime_env
-
-    env = package_runtime_env()
     vt = vocab_top_k(target, column=column, k=vocab_k)
     vocab = vt.column("token").combine_chunks()
     t_cnt = vt.column("cnt").to_numpy(zero_copy_only=False).astype(
@@ -1589,9 +1509,7 @@ def importance_weights(ds, target, column: str = "text",
         return c.filter(pc.is_in(c.column("token"),
                                  value_set=ray.get(vocab_ref)))
 
-    src_rows = (ds.select_columns([column])
-                  .map_batches(src_partial, batch_format="pyarrow",
-                               runtime_env=env)
+    src_rows = (map_batches(ds.select_columns([column]), src_partial)
                   .groupby("token").aggregate(Sum("cnt"))
                   .take_all())                      # <= vocab_k rows
     s_map = {r["token"]: r["sum(cnt)"] for r in src_rows}
@@ -1622,5 +1540,4 @@ def importance_weights(ds, target, column: str = "text",
             "n_vocab": pa.array(n_vocab),
             "log_ratio": pa.array(s, mask=n_vocab == 0)})
 
-    return ds.select_columns([id_column, column]).map_batches(
-        score, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds.select_columns([id_column, column]), score)

@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env, vectors_to_numpy
+from ..util import map_batches, map_groups, vectors_to_numpy
 
 
 #: feature order of :class:`TextFeaturizer` — each is a plain character /
@@ -69,7 +69,7 @@ class TextFeaturizer:
     surface features. The projection matrix is built ONCE per actor in
     ``__init__`` (the expensive-model-load slot); ``__call__`` is the
     vectorized per-batch path. Use with
-    ``ds.map_batches(TextFeaturizer, concurrency=N, ...)`` or via
+    ``util.map_batches(ds, TextFeaturizer, concurrency=N, ...)`` or via
     :func:`text_to_embeddings`.
 
     The embedding is reproducible externally: component j is the
@@ -110,11 +110,10 @@ def text_to_embeddings(ds, dim: int = 8, seed: int = 7,
     """Run :class:`TextFeaturizer` as an actor pool over the dataset —
     state (the projection matrix) loads once per actor, batches stream
     through ``__call__``."""
-    return ds.map_batches(
-        TextFeaturizer, batch_format="pyarrow", concurrency=concurrency,
+    return map_batches(
+        ds, TextFeaturizer, concurrency=concurrency,
         fn_constructor_kwargs=dict(dim=dim, seed=seed, column=column,
-                                   out_column=out_column),
-        runtime_env=package_runtime_env())
+                                   out_column=out_column))
 
 
 def _dim_of(ds, vector_column: str) -> int:
@@ -140,7 +139,6 @@ def grouped_vector_mean(ds, by: str, vector_column: str = "embedding",
     Rows with a null key or null vector are dropped (SQL AVG semantics).
     Output: (by, out_column list<double>, count) — one row per key."""
     dim = _dim_of(ds, vector_column)
-    env = package_runtime_env()
 
     def partial(t: pa.Table) -> pa.Table:
         keys = t.column(by).combine_chunks()
@@ -181,11 +179,8 @@ def grouped_vector_mean(ds, by: str, vector_column: str = "embedding",
             cols[count_name] = pa.array([n], type=pa.int64())
         return pa.table(cols)
 
-    return (ds.select_columns([by, vector_column])
-              .map_batches(partial, batch_format="pyarrow", runtime_env=env)
-              .groupby(by)
-              .map_groups(reduce_group, batch_format="pyarrow",
-                          runtime_env=env))
+    partials = map_batches(ds.select_columns([by, vector_column]), partial)
+    return map_groups(partials.groupby(by), reduce_group)
 
 
 def kmeans_assign(ds, centroids: np.ndarray,
@@ -202,7 +197,6 @@ def kmeans_assign(ds, centroids: np.ndarray,
         raise ValueError("centroids must be a (k, d) matrix")
     ref = ray.put(c)
     cnorm_ref = ray.put((c * c).sum(axis=1))
-    env = package_runtime_env()
 
     def assign(t: pa.Table) -> pa.Table:
         cc = ray.get(ref)                   # zero-copy shared-memory read
@@ -230,7 +224,7 @@ def kmeans_assign(ds, centroids: np.ndarray,
         lab = np.argmin(d2, axis=1).astype(np.int64)
         return t.append_column(out_column, pa.array(lab))
 
-    return ds.map_batches(assign, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds, assign)
 
 
 def kmeans_init_first_k(ds, k: int, vector_column: str = "embedding",
@@ -318,9 +312,7 @@ def embedding_dim_minmax(ds, vector_column: str = "embedding"):
     (zero-copy matrix view via util.vectors_to_numpy), the driver (or a
     tree) takes elementwise min/max. Null vectors are skipped. Returns
     ``(mn, mx)`` float64 arrays of length d."""
-    from ..util import package_runtime_env, vectors_to_numpy
-
-    env = package_runtime_env()
+    from ..util import vectors_to_numpy
 
     def partial(t: pa.Table) -> pa.Table:
         col = t.column(vector_column).combine_chunks().drop_null()
@@ -332,8 +324,7 @@ def embedding_dim_minmax(ds, vector_column: str = "embedding"):
             "mn": pa.array([m.min(axis=0).tobytes()], type=pa.binary()),
             "mx": pa.array([m.max(axis=0).tobytes()], type=pa.binary())})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          runtime_env=env).take_all()
+    rows = map_batches(ds, partial).take_all()
     if not rows:
         raise ValueError("no vectors to quantize")
     mn = np.minimum.reduce([np.frombuffer(r["mn"], dtype=np.float64)
@@ -359,13 +350,12 @@ def quantize_embeddings(ds, vector_column: str = "embedding",
     Appends ``out_column`` (fixed_size_list<int8>) plus nothing else —
     ranges are returned to the caller for the dequantize side. Returns
     ``(dataset, (mn, mx))``."""
-    from ..util import package_runtime_env, vectors_to_numpy
+    from ..util import vectors_to_numpy
 
     mn, mx = minmax if minmax is not None \
         else embedding_dim_minmax(ds, vector_column)
     span = mx - mn
     safe = np.where(span > 0, span, 1.0)
-    env = package_runtime_env()
 
     def quant(t: pa.Table) -> pa.Table:
         col = t.column(vector_column).combine_chunks()
@@ -386,8 +376,7 @@ def quantize_embeddings(ds, vector_column: str = "embedding",
             pa.array(q.reshape(-1), type=pa.int8()), d)
         return t.append_column(out_column, out)
 
-    return ds.map_batches(quant, batch_format="pyarrow",
-                          runtime_env=env), (mn, mx)
+    return map_batches(ds, quant), (mn, mx)
 
 
 def dequantize(q: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray:
@@ -407,7 +396,6 @@ def covariance_stats(ds, vector_column: str = "embedding"):
     payload is d²+d+1 doubles (8 MB at d=1000 — document your d).
 
     Returns ``(n, mean (d,), cov (d, d))``."""
-    env = package_runtime_env()
 
     def partial(t: pa.Table) -> pa.Table:
         col = t.column(vector_column).combine_chunks().drop_null()
@@ -421,8 +409,7 @@ def covariance_stats(ds, vector_column: str = "embedding"):
             "sx": pa.array([m.sum(axis=0).tobytes()], type=pa.binary()),
             "xtx": pa.array([(m.T @ m).tobytes()], type=pa.binary())})
 
-    rows = ds.select_columns([vector_column]).map_batches(
-        partial, batch_format="pyarrow", runtime_env=env).take_all()
+    rows = map_batches(ds.select_columns([vector_column]), partial).take_all()
     if not rows:
         raise ValueError("covariance_stats: no non-null vectors")
     n = int(sum(r["n"] for r in rows))
@@ -489,7 +476,6 @@ def pca_project(ds, mean: np.ndarray, components: np.ndarray,
         raise ValueError("components must be (k, d) with d == len(mean)")
     k = w.shape[0]
     ref = ray.put((mu, w))
-    env = package_runtime_env()
 
     def project(t: pa.Table) -> pa.Table:
         mmu, ww = ray.get(ref)
@@ -515,7 +501,7 @@ def pca_project(ds, mean: np.ndarray, components: np.ndarray,
         return t.append_column(
             out_column, pa.FixedSizeListArray.from_arrays(flat, k))
 
-    return ds.map_batches(project, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds, project)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +535,6 @@ def logreg_partials(ds, w: np.ndarray, b: float,
 
     dim = len(w)
     wref = ray.put(np.ascontiguousarray(np.asarray(w, dtype=np.float64)))
-    env = package_runtime_env()
 
     def partial(t: pa.Table) -> pa.Table:
         ww = ray.get(wref)                  # zero-copy shared-memory read
@@ -583,9 +568,8 @@ def logreg_partials(ds, w: np.ndarray, b: float,
             "__loss": pa.array([loss]),
             "__n": pa.array([t.num_rows], type=pa.int64())})
 
-    rows = (ds.select_columns([vector_column, label_column])
-            .map_batches(partial, batch_format="pyarrow", runtime_env=env)
-            .take_all())
+    rows = map_batches(ds.select_columns([vector_column, label_column]),
+                       partial).take_all()
     if not rows or sum(r["__n"] for r in rows) == 0:
         return np.zeros(dim), 0.0, 0.0, 0
     g = np.sum([np.asarray(r["__g"], dtype=np.float64) for r in rows],
@@ -660,7 +644,6 @@ def logreg_predict(ds, w: np.ndarray, b: float,
     import ray
 
     wref = ray.put(np.ascontiguousarray(np.asarray(w, dtype=np.float64)))
-    env = package_runtime_env()
 
     def score(t: pa.Table) -> pa.Table:
         ww = ray.get(wref)
@@ -681,4 +664,4 @@ def logreg_predict(ds, w: np.ndarray, b: float,
         s = _sigmoid(vectors_to_numpy(col, np.float64) @ ww + b)
         return t.append_column(out_column, pa.array(s))
 
-    return ds.map_batches(score, batch_format="pyarrow", runtime_env=env)
+    return map_batches(ds, score)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import package_runtime_env
+from ..util import map_batches
 
 # Parameter-NAME patterns stripped from query strings. Alternation order
 # is irrelevant: each name is always followed by `=` in the composed
@@ -115,9 +115,8 @@ def canonicalize_url_dataset(ds, column: str = "url",
                              DEFAULT_TRACKING_PARAMS):
     """Dataset-level wrapper: map-only, streaming, no shuffle. Chain
     ``dedup.exact_dedup(ds, column=out)`` for URL-level dedup."""
-    return ds.map_batches(
-        lambda b: canonicalize_urls(b, column, out, tracking_params),
-        batch_format="pyarrow", runtime_env=package_runtime_env())
+    return map_batches(
+        ds, lambda b: canonicalize_urls(b, column, out, tracking_params))
 
 
 def oracle_canonical_sql(url_expr: str,

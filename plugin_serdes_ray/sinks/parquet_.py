@@ -15,6 +15,8 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..util import map_batches, map_groups
+
 REFERENCE_DEFAULTS = dict(
     compression="gzip",
     use_dictionary=True,
@@ -77,11 +79,8 @@ def write_partitioned(ds, out_dir: str, key: str, *, resume: bool = True,
     import numpy as np
     import pyarrow.compute as pc
 
-    from ..util import package_runtime_env
-
     NULL_TOKEN = "__NULL__"
     os.makedirs(out_dir, exist_ok=True)
-    env = package_runtime_env()
 
     def part_dir(vstr: str | None) -> str:
         if vstr is None:
@@ -132,9 +131,7 @@ def write_partitioned(ds, out_dir: str, key: str, *, resume: bool = True,
                          "rows": pa.array([group.num_rows],
                                           type=pa.int64())})
 
-    todo = ds.map_batches(drop_done, batch_format="pyarrow",
-                          runtime_env=env)
-    stats = todo.groupby(key).map_groups(
-        write_group, batch_format="pyarrow", runtime_env=env).take_all()
+    todo = map_batches(ds, drop_done)
+    stats = map_groups(todo.groupby(key), write_group).take_all()
     return {"written": len(stats), "skipped": len(done) + int(done_null),
             "rows": sum(r["rows"] for r in stats)}

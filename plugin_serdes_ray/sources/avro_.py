@@ -15,7 +15,6 @@ import pyarrow as pa
 
 from ..functions import avroio
 from ..functions.errors import BadLineError, OnBadLines, handle_bad
-from ..util import package_runtime_env
 
 
 def validate_datum(schema: Any, v: Any, path: str = "$",
@@ -85,6 +84,7 @@ def read_avro_records(data: bytes, on_bad_lines: str = "ERROR",
     return schema, records
 
 
+from ..util import map_batches
 from ._tabulate import records_to_table as _records_to_table  # shared
 
 
@@ -103,9 +103,9 @@ def read_avro(paths: list[str] | str, on_bad_lines: str = "ERROR",
                 yield _records_to_table(records)
 
     ds = ray.data.from_items([{"path": str(p)} for p in paths])
-    return ds.map_batches(parse, batch_size=1, batch_format="pyarrow",
-                          concurrency=min(concurrency or 8, len(paths)),
-                          num_cpus=1, runtime_env=package_runtime_env())
+    return map_batches(ds, parse, batch_size=1,
+                       concurrency=min(concurrency or 8, len(paths)),
+                       num_cpus=1)
 
 
 def read_avro_table(path: str, on_bad_lines: str = "ERROR") -> pa.Table:

@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.csv as pacsv
 
 from ..functions.errors import BadLineError, OnBadLines, handle_bad, logger
-from ..util import package_runtime_env
+from ..util import map_batches
 
 
 @dataclass
@@ -196,9 +196,9 @@ def read_csv(paths: list[str] | str, opts: Optional[CsvOptions] = None,
                 yield t
 
     ds = ray.data.from_items([{"path": str(p)} for p in paths])
-    return ds.map_batches(parse, batch_size=1, batch_format="pyarrow",
-                          concurrency=min(concurrency or 8, len(paths)),
-                          num_cpus=1, runtime_env=package_runtime_env())
+    return map_batches(ds, parse, batch_size=1,
+                       concurrency=min(concurrency or 8, len(paths)),
+                       num_cpus=1)
 
 
 def read_csv_table(path: str, opts: Optional[CsvOptions] = None) -> pa.Table:

@@ -22,6 +22,8 @@ from typing import Any, Optional
 
 import pyarrow as pa
 
+from ..util import map_batches
+
 NS = "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}"
 RNS = "{http://schemas.openxmlformats.org/officeDocument/2006/relationships}"
 PKG_RNS = "{http://schemas.openxmlformats.org/package/2006/relationships}"
@@ -351,8 +353,6 @@ def read_excel(paths: list[str] | str, opts: Optional[ExcelOptions] = None,
     """Distributed read of ONE sheet across files -> Dataset."""
     import ray.data
 
-    from ..util import package_runtime_env
-
     opts = opts or ExcelOptions()
     if isinstance(paths, str):
         paths = [paths]
@@ -367,9 +367,9 @@ def read_excel(paths: list[str] | str, opts: Optional[ExcelOptions] = None,
                 yield next(iter(sheets.values()))
 
     ds = ray.data.from_items([{"path": str(p)} for p in paths])
-    return ds.map_batches(parse, batch_size=1, batch_format="pyarrow",
-                          concurrency=min(concurrency or 8, len(paths)),
-                          num_cpus=1, runtime_env=package_runtime_env())
+    return map_batches(ds, parse, batch_size=1,
+                       concurrency=min(concurrency or 8, len(paths)),
+                       num_cpus=1)
 
 
 def read_excel_tables(path: str, opts: Optional[ExcelOptions] = None

@@ -8,6 +8,8 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.feather as feather
 
+from ..util import map_batches
+
 
 def parse_feather_bytes(data: bytes) -> pa.Table:
     return feather.read_table(pa.BufferReader(data))
@@ -22,8 +24,6 @@ def read_feather(paths, columns: Optional[list[str]] = None):
     """Feather/IPC files -> Ray Dataset (one read task per file)."""
     import ray.data
 
-    from ..util import package_runtime_env
-
     if isinstance(paths, str):
         paths = [paths]
 
@@ -32,5 +32,4 @@ def read_feather(paths, columns: Optional[list[str]] = None):
             yield read_feather_table(str(p), columns=columns)
 
     ds = ray.data.from_items([{"path": str(p)} for p in paths])
-    return ds.map_batches(load, batch_size=1, batch_format="pyarrow",
-                          num_cpus=1, runtime_env=package_runtime_env())
+    return map_batches(ds, load, batch_size=1, num_cpus=1)

@@ -20,8 +20,6 @@ from typing import Any, Optional
 
 import pyarrow as pa
 
-from ..util import package_runtime_env
-
 
 @dataclass
 class JsonOptions:
@@ -112,6 +110,7 @@ def parse_concatenated_json(text: str) -> list[Any]:
     return out
 
 
+from ..util import map_batches
 from ._tabulate import records_to_table as _records_to_table  # shared
 
 
@@ -136,9 +135,9 @@ def read_json(paths: list[str] | str, opts: Optional[JsonOptions] = None,
                 yield _records_to_table(records)
 
     ds = ray.data.from_items([{"path": str(p)} for p in paths])
-    return ds.map_batches(parse, batch_size=1, batch_format="pyarrow",
-                          concurrency=min(concurrency or 8, len(paths)),
-                          num_cpus=1, runtime_env=package_runtime_env())
+    return map_batches(ds, parse, batch_size=1,
+                       concurrency=min(concurrency or 8, len(paths)),
+                       num_cpus=1)
 
 
 def read_json_table(path: str, opts: Optional[JsonOptions] = None) -> pa.Table:

@@ -10,6 +10,8 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.orc as orc
 
+from ..util import map_batches
+
 
 def parse_orc_bytes(data: bytes) -> pa.Table:
     return orc.ORCFile(pa.BufferReader(data)).read()
@@ -24,8 +26,6 @@ def read_orc(paths, columns: Optional[list[str]] = None):
     """ORC files -> Ray Dataset (one read task per file; column-pruned)."""
     import ray.data
 
-    from ..util import package_runtime_env
-
     if isinstance(paths, str):
         paths = [paths]
 
@@ -34,5 +34,4 @@ def read_orc(paths, columns: Optional[list[str]] = None):
             yield read_orc_table(str(p), columns=columns)
 
     ds = ray.data.from_items([{"path": str(p)} for p in paths])
-    return ds.map_batches(load, batch_size=1, batch_format="pyarrow",
-                          num_cpus=1, runtime_env=package_runtime_env())
+    return map_batches(ds, load, batch_size=1, num_cpus=1)

@@ -14,7 +14,7 @@ from typing import Any, Optional
 import pyarrow as pa
 
 from ..functions.errors import handle_bad
-from ..util import package_runtime_env
+from ..util import map_batches
 
 try:
     from google.protobuf import descriptor_pb2, descriptor_pool, message_factory
@@ -191,6 +191,6 @@ def read_protobuf(paths: list[str] | str, descriptor_set_path: str,
                 yield pa.Table.from_pylist(records)
 
     ds = ray.data.from_items([{"path": str(p)} for p in paths])
-    return ds.map_batches(parse, batch_size=1, batch_format="pyarrow",
-                          concurrency=min(concurrency or 8, len(paths)),
-                          num_cpus=1, runtime_env=package_runtime_env())
+    return map_batches(ds, parse, batch_size=1,
+                       concurrency=min(concurrency or 8, len(paths)),
+                       num_cpus=1)

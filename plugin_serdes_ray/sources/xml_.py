@@ -18,8 +18,6 @@ from typing import Any, Optional
 
 import pyarrow as pa
 
-from ..util import package_runtime_env
-
 
 @dataclass
 class XmlOptions:
@@ -142,6 +140,7 @@ def iter_xml_query(source, opts: XmlOptions, batch_records: int = 1024,
         yield batch
 
 
+from ..util import map_batches
 from ._tabulate import records_to_table as _records_to_table  # shared
 
 
@@ -174,9 +173,9 @@ def read_xml(paths: list[str] | str, opts: Optional[XmlOptions] = None,
                 yield _records_to_table(records)
 
     ds = ray.data.from_items([{"path": str(p)} for p in paths])
-    return ds.map_batches(parse, batch_size=1, batch_format="pyarrow",
-                          concurrency=min(concurrency or 8, len(paths)),
-                          num_cpus=1, runtime_env=package_runtime_env())
+    return map_batches(ds, parse, batch_size=1,
+                       concurrency=min(concurrency or 8, len(paths)),
+                       num_cpus=1)
 
 
 def read_xml_table(path: str, opts: Optional[XmlOptions] = None) -> pa.Table:

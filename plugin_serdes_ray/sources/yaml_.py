@@ -12,14 +12,13 @@ from typing import Any, Optional
 import pyarrow as pa
 import yaml
 
-from ..util import package_runtime_env
-
 
 def parse_yaml_bytes(data: bytes, charset: str = "utf-8") -> list[Any]:
     docs = [d for d in yaml.safe_load_all(data.decode(charset)) if d is not None]
     return docs
 
 
+from ..util import map_batches
 from ._tabulate import records_to_table as _records_to_table  # shared
 
 
@@ -38,9 +37,9 @@ def read_yaml(paths: list[str] | str, charset: str = "utf-8",
                 yield _records_to_table(docs)
 
     ds = ray.data.from_items([{"path": str(p)} for p in paths])
-    return ds.map_batches(parse, batch_size=1, batch_format="pyarrow",
-                          concurrency=min(concurrency or 8, len(paths)),
-                          num_cpus=1, runtime_env=package_runtime_env())
+    return map_batches(ds, parse, batch_size=1,
+                       concurrency=min(concurrency or 8, len(paths)),
+                       num_cpus=1)
 
 
 def read_yaml_table(path: str, charset: str = "utf-8") -> pa.Table:

@@ -1,4 +1,14 @@
-"""Small shared utilities for Ray stages."""
+"""Small shared utilities for Ray stages.
+
+Every Ray Data stage of the package goes through :func:`map_batches` or
+:func:`map_groups` here. Ray workers do not inherit the driver's
+``sys.path`` — the library never calls ``ray.init``, ``__ray_entry__``
+runs under an external driver, and scripts put the checkout on the path
+by hand — so each stage needs a ``runtime_env`` that finds this package.
+The wrappers are the one place that passes it (tests/test_stage_guard.py
+enforces that), and they default ``batch_format`` to ``"pyarrow"``, the
+batch type every stage of the package works on.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +23,22 @@ def package_runtime_env() -> dict:
     root = os.path.dirname(os.path.dirname(os.path.abspath(plugin_serdes_ray.__file__)))
     existing = os.environ.get("PYTHONPATH", "")
     return {"env_vars": {"PYTHONPATH": root + (os.pathsep + existing if existing else "")}}
+
+
+def map_batches(ds, fn, **kw):
+    """``ds.map_batches(fn, **kw)`` with the package's ``runtime_env`` and
+    ``batch_format="pyarrow"`` unless the caller names another format.
+    Every other keyword (``fn_kwargs``, ``batch_size``, ``concurrency``,
+    ``num_cpus``, ...) passes through unchanged."""
+    kw.setdefault("batch_format", "pyarrow")
+    return ds.map_batches(fn, runtime_env=package_runtime_env(), **kw)
+
+
+def map_groups(grouped, fn, **kw):
+    """``grouped.map_groups(fn, **kw)`` for a ``ds.groupby(...)`` result,
+    with the same defaults as :func:`map_batches`."""
+    kw.setdefault("batch_format", "pyarrow")
+    return grouped.map_groups(fn, runtime_env=package_runtime_env(), **kw)
 
 
 def file_stamp(path: str) -> str:
@@ -116,11 +142,9 @@ def warm_cluster(num_workers: int | None = None) -> int:
     import ray.data
 
     n = num_workers or int(ray.cluster_resources().get("CPU", 8))
-    items = [{"i": i} for i in range(2 * n)]
-    res = ray.data.from_items(items).map_batches(
-        _warm_task, batch_size=1, concurrency=n, num_cpus=1,
-        batch_format="numpy", runtime_env=package_runtime_env(),
-    ).take_all()
+    items = ray.data.from_items([{"i": i} for i in range(2 * n)])
+    res = map_batches(items, _warm_task, batch_size=1, concurrency=n,
+                      num_cpus=1, batch_format="numpy").take_all()
     return len(res)
 
 

@@ -722,3 +722,38 @@ def test_packed_stages_match_in_process(ray_session, small_files, tmp_path):
         scrub_part_batch(pa.table({"path": [os.path.join(out, f)]}),
                          deep=True) for f in _part_bytes(out))
     assert rep["parts"].sort_by("file").to_pylist() == ref_rep.to_pylist()
+
+
+def test_part_bytes_independent_of_input_path(small_files, tmp_path):
+    """Part headers name their input by basename (the manifest keeps the
+    full path): the same shards, copied into two directories whose paths
+    differ in length, encode and compact to identical bytes. No Ray."""
+    import shutil
+
+    from plugin_serdes_ray.encode import (
+        compact_bin_batch, encode_shard_batch, plan_partitions)
+    from plugin_serdes_ray.plan import build_plan
+    from plugin_serdes_ray.state import checkpoint
+
+    plan = build_plan(pq.read_table(small_files[0]))
+    written = []
+    for sub in ("a", "a_much_longer_directory_name"):
+        src = tmp_path / sub / "in"
+        src.mkdir(parents=True)
+        files = []
+        for f in sorted(small_files)[:3]:
+            files.append(str(src / os.path.basename(f)))
+            shutil.copyfile(f, files[-1])
+        enc = str(tmp_path / sub / "enc")
+        checkpoint.ensure_dirs(enc)
+        for p in plan_partitions(files):
+            encode_shard_batch(_numpy_row(p), plan=plan, out_dir=enc)
+        dst = str(tmp_path / sub / "compact")
+        checkpoint.ensure_dirs(dst)
+        for b in plan_compaction_bins(enc, 1 << 40):
+            compact_bin_batch(_numpy_row(b), plan=plan, src_dir=enc,
+                              dst_dir=dst, src_raw_bytes={})
+        assert checkpoint.read_manifest_entries(enc)[0]["input"] == files[0]
+        written.append((_part_bytes(enc), _part_bytes(dst)))
+    assert len(written[0][0]) == 3 and len(written[0][1]) == 1
+    assert written[0] == written[1]

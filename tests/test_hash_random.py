@@ -70,7 +70,7 @@ def test_exact_dedup_random_vs_duckdb_both_routes(ray_session):
     want = sorted(r[0] for r in con.execute(
         "SELECT min(doc_id) FROM docs GROUP BY text").fetchall())
     ds = ray.data.from_arrow(t).repartition(7)
-    for kw in ({}, {"max_driver_dup_hashes": 0, "bloom_bits": 1 << 12}):
+    for kw in ({}, {"bloom_bits": 1 << 12}):
         out = dedup.exact_dedup(ds, "text", "doc_id", **kw)
         got = sorted(r["doc_id"] for r in out.take_all())
         assert got == want, (kw, len(got), len(want))

@@ -33,42 +33,23 @@ def test_exact_dedup(docs_ds, sf_dir):
     assert got == want
 
 
-def test_exact_dedup_distributed_route_matches(ray_session, monkeypatch):
-    """Above max_driver_dup_hashes the drop-set must NOT be collected to
-    the driver: inject more duplicated hashes than the guard allows,
-    booby-trap the broadcast helper, and assert the distributed
-    bloom+marker route produces the exact keep-first answer."""
+def test_exact_dedup_distributed_route_matches(ray_session):
+    """The drop-set is never collected to the driver: many duplicated
+    hashes resolve through the bloom+marker route to the exact
+    keep-first answer."""
     import ray.data
 
     from plugin_serdes_ray.pipelines import dedup
 
-    def boom(*a, **k):  # pragma: no cover - failure mode
-        raise AssertionError("broadcast route taken above the size guard")
-
-    monkeypatch.setattr(dedup, "_exact_dedup_broadcast", boom)
     # 60 distinct texts duplicated across 300 rows, plus 50 singletons
     rows = ([{"doc_id": i, "text": f"dup text {i % 60}"}
              for i in range(300)]
             + [{"doc_id": 1000 + i, "text": f"unique text {i}"}
                for i in range(50)])
     ds = ray.data.from_items(rows)
-    out = dedup.exact_dedup(ds, "text", "doc_id",
-                            max_driver_dup_hashes=10, bloom_bits=1 << 16)
+    out = dedup.exact_dedup(ds, "text", "doc_id", bloom_bits=1 << 16)
     got = sorted(r["doc_id"] for r in out.take_all())
     assert got == list(range(60)) + list(range(1000, 1050))
-
-
-def test_exact_dedup_small_stays_broadcast(docs_ds, monkeypatch):
-    """Below the guard the cheap broadcast route is used (the distributed
-    helper must not run)."""
-    from plugin_serdes_ray.pipelines import dedup
-
-    def boom(*a, **k):  # pragma: no cover - failure mode
-        raise AssertionError("distributed route taken below the size guard")
-
-    monkeypatch.setattr(dedup, "_exact_dedup_distributed", boom)
-    out = dedup.exact_dedup(docs_ds, "text", "doc_id")
-    assert out.count() > 0
 
 
 def test_exact_dedup_distributed_tiny_bloom_still_exact(ray_session):
@@ -81,8 +62,7 @@ def test_exact_dedup_distributed_tiny_bloom_still_exact(ray_session):
 
     rows = [{"doc_id": i, "text": f"doc {i % 40}"} for i in range(200)]
     ds = ray.data.from_items(rows)
-    out = dedup.exact_dedup(ds, "text", "doc_id",
-                            max_driver_dup_hashes=0, bloom_bits=64)
+    out = dedup.exact_dedup(ds, "text", "doc_id", bloom_bits=64)
     got = sorted(r["doc_id"] for r in out.take_all())
     assert got == list(range(40))
 

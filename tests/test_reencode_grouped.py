@@ -96,15 +96,59 @@ def test_scattered_plan_sample_spans_blocks(ray_session):
     head (a clustered corpus' first block is unrepresentative)."""
     import ray.data
 
-    from plugin_serdes_ray.pipelines.reencode import scattered_sample_rows
+    from plugin_serdes_ray.encode import sample_dataset
 
     blocks = [pa.table({"marker": pa.array([b] * 100, type=pa.int64())})
               for b in range(16)]
     ds = ray.data.from_arrow(blocks)
-    rows = scattered_sample_rows(ds, 200)
-    assert len(rows) == 200
-    markers = {r["marker"] for r in rows}
+    sample = sample_dataset(ds, 200, seed=11)
+    assert sample.num_rows == 200
+    markers = set(sample.column("marker").to_pylist())
     assert len(markers) >= 2              # head-only would see {0, 1}
     assert markers != {0, 1}
     # deterministic: same seed -> same sample
-    assert scattered_sample_rows(ds, 200) == rows
+    assert sample_dataset(ds, 200, seed=11).equals(sample)
+
+
+def test_plan_sample_keeps_input_types(ray_session, tmp_path, monkeypatch):
+    """The grouped re-encode plans on the input's own Arrow types: int8,
+    timestamp[ns] and large_binary survive the sample (a Python-row round
+    trip widens them), so the plan's ts zone stats are in nanoseconds."""
+    import ray.data
+
+    from plugin_serdes_ray.encode import sample_dataset
+
+    n = 600
+    ts0 = 1_700_000_000_123_456_789            # not a whole microsecond
+    t = pa.table({
+        "lang": pa.array(["en", "de", "fi"] * (n // 3)),
+        "small": pa.array([i % 100 for i in range(n)], type=pa.int8()),
+        "ts": pa.array([ts0 + i for i in range(n)],
+                       type=pa.timestamp("ns")),
+        "blob": pa.array([b"x" * (i % 7) for i in range(n)],
+                         type=pa.large_binary()),
+    })
+    ds = ray.data.from_arrow([t.slice(i, 100) for i in range(0, n, 100)])
+    sample = sample_dataset(ds, 250, seed=11)
+    assert sample.schema.equals(ds.schema().base_schema)
+
+    import plugin_serdes_ray.pipelines.reencode as reencode
+
+    captured = {}
+    real_build = reencode.build_plan
+
+    def spy(table, *a, **k):
+        captured["plan"] = plan = real_build(table, *a, **k)
+        return plan
+
+    monkeypatch.setattr(reencode, "build_plan", spy)
+    out = str(tmp_path / "typed")
+    summary = reencode_grouped(ds, out, group_key="lang", sample_rows=250)
+    assert summary["rows"] == n
+    ts_stats = captured["plan"].stats["ts"]
+    assert ts0 <= ts_stats["min"] <= ts_stats["max"] < ts0 + n
+    back = pa.concat_tables(
+        read_partition(f) for f in sorted(glob.glob(f"{out}/*.grck")))
+    assert back.schema.field("ts").type == pa.timestamp("ns")
+    assert sorted(back.column("ts").cast(pa.int64()).to_pylist()) == \
+        [ts0 + i for i in range(n)]
